@@ -516,7 +516,11 @@ func Scaling(p cluster.Params) string {
 // plus the full teams sub-table — enough to exercise 512-rank lazy
 // construction and the team paths inside a CI time budget, byte-identical
 // for any -parallel value.
-func Scaling512(p cluster.Params) string {
+func Scaling512(p cluster.Params) string { return scalingSlice(p, 512) }
+
+// scalingSlice is the n-rank fat-tree allreduce column on both fabrics
+// and algorithms, followed by the teams sub-table.
+func scalingSlice(p cluster.Params, n int) string {
 	var b strings.Builder
 	type cell struct {
 		k   transport.Kind
@@ -529,9 +533,9 @@ func Scaling512(p cluster.Params) string {
 		}
 	}
 	times := runner.Map(p.Parallel, cells, func(_ int, c cell) sim.Duration {
-		return runAllReduce(p, c.k, topo.Spec{Kind: topo.FatTree}, 512, c.alg)
+		return runAllReduce(p, c.k, topo.Spec{Kind: topo.FatTree}, n, c.alg)
 	})
-	fmt.Fprintf(&b, "scaling512: 512-rank fat-tree allreduce (%d x 8B), verified\n", scalingWords(512))
+	fmt.Fprintf(&b, "scaling%d: %d-rank fat-tree allreduce (%d x 8B), verified\n", n, n, scalingWords(n))
 	fmt.Fprintf(&b, "%-8s %-8s %14s\n", "fabric", "alg", "allreduce[us]")
 	for i, c := range cells {
 		fmt.Fprintf(&b, "%-8s %-8s %14.4g\n", c.k, c.alg, times[i].Microseconds())

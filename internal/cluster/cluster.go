@@ -11,7 +11,7 @@ import (
 	"putget/internal/memspace"
 	"putget/internal/pcie"
 	"putget/internal/sim"
-	"putget/internal/wire"
+	"putget/internal/topo"
 )
 
 // Node is one machine: CPU + host RAM + GPU + (at most one) NIC on a
@@ -115,21 +115,17 @@ func (n *Node) AllocDev(size uint64) memspace.Addr {
 	return a
 }
 
-// Testbed is a two-node cluster joined by one cable.
+// Testbed is the paper's two-node testbed: a Direct Cluster (one cable
+// per direction) whose nodes 0 and 1 are A and B.
 type Testbed struct {
-	E      *sim.Engine
-	A, B   *Node
-	Params Params
+	*Cluster
+	A, B *Node
 
-	// FaultsAB / FaultsBA guard the two wire directions when
+	// FaultsAB / FaultsBA guard the two cable directions when
 	// Params.FaultInject is set; nil otherwise.
 	FaultsAB *faults.Injector
 	FaultsBA *faults.Injector
 }
-
-// Shutdown terminates the testbed's parked processes (NIC engines, stream
-// runners) so their goroutines exit; call it when done with the testbed.
-func (t *Testbed) Shutdown() { t.E.Shutdown() }
 
 // wireFaultPlan scripts one wire direction's injector. The salt separates
 // the two directions' PRNG streams so they draw independent verdicts from
@@ -149,132 +145,19 @@ func wireFaultPlan(p Params, salt uint64) faults.Plan {
 	return plan
 }
 
-// attachPCIeFaults wires node-local PCIe replay injection (salts 3 and 4).
-func attachPCIeFaults(p Params, a, b *Node) {
-	if p.FaultPCIeReplayRate <= 0 {
-		return
-	}
-	penalty := p.FaultPCIeReplayPenalty
-	if penalty == 0 {
-		penalty = 500 * sim.Nanosecond
-	}
-	for i, n := range []*Node{a, b} {
-		n.Fabric.SetFaults(faults.NewInjector(faults.Plan{
-			Seed:  faults.DeriveSeed(p.FaultSeed, uint64(3+i)),
-			Rules: []faults.Rule{{DropRate: p.FaultPCIeReplayRate}},
-		}), penalty)
-	}
+// pair wraps a Direct cluster as a Testbed.
+func pair(c *Cluster) *Testbed {
+	return &Testbed{Cluster: c, A: c.Node(0), B: c.Node(1), FaultsAB: c.wireFaults[0], FaultsBA: c.wireFaults[1]}
 }
 
 // NewExtollPair builds the EXTOLL testbed: two nodes with Galibier NICs.
 // Panics if p fails Validate.
 func NewExtollPair(p Params) *Testbed {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	e := sim.NewEngine()
-	a := newNode(e, "a", p)
-	b := newNode(e, "b", p)
-	notifBase := NotifArea
-	if p.ExtNotifInDevMem {
-		// Carve the rings out of the top of device memory (the heap
-		// allocator grows from the bottom).
-		notifBase = DevMemBase + memspace.Addr(p.GPUDevMemSize-(32<<20))
-	}
-	var extRel *extoll.RelConfig
-	if p.FaultInject {
-		extRel = p.ExtRel
-		if extRel == nil {
-			extRel = extoll.DefaultRelConfig()
-		}
-	}
-	for _, n := range []*Node{a, b} {
-		n.Extoll = extoll.New(e, n.Fabric, extoll.Config{
-			Name:          n.Name + ".rma",
-			Rel:           extRel,
-			ClockHz:       p.ExtClock,
-			DatapathBytes: p.ExtDatapath,
-			ReqCycles:     p.ExtReqCycles,
-			CompCycles:    p.ExtCompCycles,
-			RespCycles:    p.ExtRespCycles,
-			NumPorts:      p.ExtPorts,
-			BARBase:       ExtollBAR,
-			NotifBase:     notifBase,
-			NotifEntries:  p.ExtNotifEntries,
-			DMAContexts:   p.ExtDMACtx,
-			PCIe: pcie.EndpointConfig{
-				EgressRate: p.ExtEgress, OneWay: p.ExtOneWay, ReadLatency: p.ExtReadLat,
-			},
-		})
-	}
-	ab, ba := wire.NewDuplex[extoll.Packet](e, p.ExtWireBW, p.ExtWireLat)
-	ab.SetName("a.rma.wire")
-	ba.SetName("b.rma.wire")
-	tb := &Testbed{E: e, A: a, B: b, Params: p}
-	if p.WireDepthCap > 0 {
-		ab.SetDepthCap(p.WireDepthCap)
-		ba.SetDepthCap(p.WireDepthCap)
-	}
-	if p.FaultInject {
-		poison := func(pkt extoll.Packet) extoll.Packet { pkt.Poisoned = true; return pkt }
-		tb.FaultsAB = faults.NewInjector(wireFaultPlan(p, 1))
-		tb.FaultsBA = faults.NewInjector(wireFaultPlan(p, 2))
-		ab.SetFaults(tb.FaultsAB, poison)
-		ba.SetFaults(tb.FaultsBA, poison)
-		attachPCIeFaults(p, a, b)
-	}
-	a.Extoll.AttachWire(ab, ba)
-	b.Extoll.AttachWire(ba, ab)
-	return tb
+	return pair(NewClusterOn(FabricExtoll, topo.Spec{Kind: topo.Direct}, 2, p))
 }
 
 // NewIBPair builds the InfiniBand testbed: two nodes with FDR HCAs.
 // Panics if p fails Validate.
 func NewIBPair(p Params) *Testbed {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	e := sim.NewEngine()
-	a := newNode(e, "a", p)
-	b := newNode(e, "b", p)
-	var ibRel *ibsim.RelConfig
-	if p.FaultInject {
-		ibRel = p.IBRel
-		if ibRel == nil {
-			ibRel = ibsim.DefaultRelConfig()
-		}
-	}
-	for _, n := range []*Node{a, b} {
-		n.IB = ibsim.New(e, n.Fabric, ibsim.Config{
-			Name:          n.Name + ".hca",
-			Rel:           ibRel,
-			BARBase:       IBBAR,
-			WQEFetchBatch: p.IBFetchBatch,
-			ProcessTime:   p.IBProc,
-			RxProcessTime: p.IBRxProc,
-			DMAContexts:   p.IBDMACtx,
-			PCIe: pcie.EndpointConfig{
-				EgressRate: p.IBEgress, OneWay: p.IBOneWay, ReadLatency: p.IBReadLat,
-			},
-		})
-	}
-	ab, ba := wire.NewDuplex[ibsim.Packet](e, p.IBWireBW, p.IBWireLat)
-	ab.SetName("a.hca.wire")
-	ba.SetName("b.hca.wire")
-	tb := &Testbed{E: e, A: a, B: b, Params: p}
-	if p.WireDepthCap > 0 {
-		ab.SetDepthCap(p.WireDepthCap)
-		ba.SetDepthCap(p.WireDepthCap)
-	}
-	if p.FaultInject {
-		poison := func(pkt ibsim.Packet) ibsim.Packet { pkt.Poisoned = true; return pkt }
-		tb.FaultsAB = faults.NewInjector(wireFaultPlan(p, 1))
-		tb.FaultsBA = faults.NewInjector(wireFaultPlan(p, 2))
-		ab.SetFaults(tb.FaultsAB, poison)
-		ba.SetFaults(tb.FaultsBA, poison)
-		attachPCIeFaults(p, a, b)
-	}
-	a.IB.AttachWire(ab, ba)
-	b.IB.AttachWire(ba, ab)
-	return tb
+	return pair(NewClusterOn(FabricIB, topo.Spec{Kind: topo.Direct}, 2, p))
 }

@@ -83,3 +83,58 @@ func TestClusterExtNotifBaseStable(t *testing.T) {
 		t.Fatalf("extNotifBase = %#x, want %#x", uint64(c.extNotifBase), uint64(want))
 	}
 }
+
+// The pair testbed is a Direct cluster: nodes a and b, each NIC's cable
+// named after it, and the pair-only knobs accepted there and nowhere
+// else.
+func TestPairIsDirectCluster(t *testing.T) {
+	for _, tc := range []struct {
+		tb    *Testbed
+		cable string
+	}{
+		{NewExtollPair(scaledParams()), "a.rma.wire"},
+		{NewIBPair(scaledParams()), "a.hca.wire"},
+	} {
+		tb := tc.tb
+		defer tb.Shutdown()
+		if tb.Spec.Kind != topo.Direct || tb.N() != 2 || tb.Built() != 2 {
+			t.Fatalf("pair is %v with %d of %d nodes built", tb.Spec.Kind, tb.Built(), tb.N())
+		}
+		if tb.A != tb.Node(0) || tb.B != tb.Node(1) || tb.A.Name != "a" || tb.B.Name != "b" {
+			t.Fatalf("pair nodes %q, %q are not nodes 0 and 1 named a and b", tb.A.Name, tb.B.Name)
+		}
+		var path []string
+		if tb.ExtNet != nil {
+			path = tb.ExtNet.PathNames(0, 1)
+		} else {
+			path = tb.IBNet.PathNames(0, 1)
+		}
+		if len(path) != 1 || path[0] != tc.cable {
+			t.Fatalf("a->b path %v, want the one cable %s", path, tc.cable)
+		}
+	}
+
+	p := scaledParams()
+	p.FaultInject = true
+	p.WireDepthCap = 8
+	tb := NewIBPair(p)
+	defer tb.Shutdown()
+	if tb.FaultsAB == nil || tb.FaultsBA == nil || tb.FaultsAB == tb.FaultsBA {
+		t.Fatal("a faulty pair needs one injector per cable direction")
+	}
+	for _, knob := range []func(*Params){
+		func(p *Params) { p.FaultInject = true },
+		func(p *Params) { p.WireDepthCap = 8 },
+	} {
+		p := scaledParams()
+		knob(&p)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a pair-only knob was accepted on a fat-tree")
+				}
+			}()
+			NewClusterOn(FabricExtoll, topo.Spec{Kind: topo.FatTree}, 4, p)
+		}()
+	}
+}

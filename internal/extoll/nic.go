@@ -496,8 +496,8 @@ func (n *NIC) sendPut(p *sim.Proc, wr WR, peer int) {
 		// The DMA context stays busy until the data has left local memory.
 		p.SleepUntil(ready)
 	} else {
-		// Store-and-forward under reliability: sequence numbers must match
-		// delivery order, which cut-through SendAfter cannot guarantee.
+		// Store-and-forward under reliability: the packet is sequenced and
+		// buffered for go-back-N replay only once its payload is in hand.
 		p.SleepUntil(ready)
 		n.xmit(pkt, wr.Size+PktHeader)
 	}

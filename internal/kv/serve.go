@@ -178,12 +178,13 @@ func Run(k transport.Kind, p cluster.Params, cfg Config) Metrics {
 // request staging and reply landing, B's request landing and reply
 // staging — each split into per-connection segments of capSlots slots.
 func newServer(tr transport.Transport, cfg Config) *server {
-	tb := tr.Testbed()
+	cl := tr.Cluster()
+	a, b := cl.Node(0), cl.Node(1)
 	s := &server{
 		cfg:       cfg,
-		e:         tb.E,
-		cpuA:      tb.A.CPU,
-		cpuB:      tb.B.CPU,
+		e:         cl.E,
+		cpuA:      a.CPU,
+		cpuB:      b.CPU,
 		conns:     make([]*conn, cfg.Replicas),
 		stores:    make([]*replicaStore, cfg.Replicas),
 		m:         &Metrics{},
@@ -199,18 +200,18 @@ func newServer(tr transport.Transport, cfg Config) *server {
 	s.capSlots = cfg.Clients*cfg.PerClient*(cfg.MaxRetries+2) + 4096
 	seg := uint64(s.capSlots * cfg.SlotBytes)
 	total := seg * uint64(cfg.Replicas)
-	s.aTx = tb.A.AllocHost(total)
-	s.aRx = tb.A.AllocHost(total)
-	s.bRx = tb.B.AllocHost(total)
-	s.bTx = tb.B.AllocHost(total)
-	s.aTxR = tr.Register(tb.A, s.aTx, total)
-	s.aRxR = tr.Register(tb.A, s.aRx, total)
-	s.bRxR = tr.Register(tb.B, s.bRx, total)
-	s.bTxR = tr.Register(tb.B, s.bTx, total)
+	s.aTx = a.AllocHost(total)
+	s.aRx = a.AllocHost(total)
+	s.bRx = b.AllocHost(total)
+	s.bTx = b.AllocHost(total)
+	s.aTxR = tr.Register(a, s.aTx, total)
+	s.aRxR = tr.Register(a, s.aRx, total)
+	s.bRxR = tr.Register(b, s.bRx, total)
+	s.bTxR = tr.Register(b, s.bTx, total)
 	hint := transport.ConnHint{SendEntries: 1024, RecvEntries: 2 * prepostN, CompEntries: 1024}
 	for r := 0; r < cfg.Replicas; r++ {
-		a, b := tr.Connect(r, hint)
-		s.conns[r] = &conn{idx: r, a: a, b: b, txq: sim.NewChan[wireMsg](tb.E)}
+		ea, eb := tr.Connect(r, hint)
+		s.conns[r] = &conn{idx: r, a: ea, b: eb, txq: sim.NewChan[wireMsg](cl.E)}
 		s.stores[r] = newReplicaStore(cfg.Keys, cfg.Replicas)
 	}
 	return s

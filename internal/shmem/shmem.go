@@ -11,11 +11,12 @@
 //     polls device memory (pollOnGPU) or uses immediate puts; the
 //     fabric's completion streams are touched only by Quiet.
 //
-// The library spans either of the repository's testbeds: a two-node pair
-// (NewWorld/NewWorldOn — one PE per GPU over a single cable) or an N-node
-// switched cluster (NewWorldN — one PE per node of a fat-tree or 3D-torus
-// topo.Net). It is written against the transport.Endpoint abstraction, so
-// the same code runs SHMEM over EXTOLL RMA or over InfiniBand Verbs.
+// The library runs on a cluster of either shape: the two-node pair
+// (NewWorld/NewWorldOn — one PE per GPU over a topo.Direct cable) or an
+// N-node switched cluster (NewWorldN — one PE per node of a fat-tree or
+// 3D-torus topo.Net). It is written against the transport.Endpoint
+// abstraction, so the same code runs SHMEM over EXTOLL RMA or over
+// InfiniBand Verbs.
 // Every data object lives in a symmetric heap at identical offsets on all
 // PEs, so remote addresses are derived, never exchanged.
 //
@@ -34,16 +35,16 @@ import (
 	"putget/internal/cluster"
 	"putget/internal/gpusim"
 	"putget/internal/memspace"
-	"putget/internal/sim"
+	"putget/internal/topo"
 	"putget/internal/transport"
 )
 
-// World is a SHMEM job: N PEs over a testbed. Pair worlds (NewWorld,
-// NewWorldOn) have two PEs joined by a cable and a nil CL; N-rank worlds
-// (NewWorldN) have one PE per cluster node and a nil TB.
+// World is a SHMEM job: one PE per node of a cluster. Pair worlds
+// (NewWorld, NewWorldOn) run on the two-node Direct cluster with the
+// pair API (Put/Get/Barrier to the one peer) and no teams; N-rank worlds
+// (NewWorldN) run on a switched cluster with teams.
 type World struct {
-	TB        *cluster.Testbed // pair worlds; nil for N-rank worlds
-	CL        *cluster.Cluster // N-rank worlds; nil for pair worlds
+	CL        *cluster.Cluster
 	Transport transport.Transport
 
 	n   int
@@ -56,7 +57,8 @@ type World struct {
 	heapBrk  uint64
 
 	// N-rank state: every PE's registered heap (indexed by rank), the
-	// set of established connections, and the root team.
+	// set of established connections, and the root team (nil on a pair
+	// world).
 	regions []transport.Region
 	conns   map[[2]int]bool
 	root    *Team
@@ -107,23 +109,18 @@ func NewWorld(p cluster.Params, heapSize uint64) *World {
 // code above the transport layer is identical for both; only descriptor
 // formats and completion mechanisms differ underneath.
 func NewWorldOn(k transport.Kind, p cluster.Params, heapSize uint64) *World {
-	var tb *cluster.Testbed
-	if k == transport.KindExtoll {
-		tb = cluster.NewExtollPair(p)
-	} else {
-		tb = cluster.NewIBPair(p)
-	}
-	tr := transport.New(k, tb)
-	w := &World{TB: tb, Transport: tr, n: 2, heapSize: heapSize, conns: map[[2]int]bool{}}
-	mk := func(rank int, node *cluster.Node) *PE {
-		pe := &PE{Rank: rank, N: 2, Node: node, world: w}
-		pe.heapBase = node.AllocDev(heapSize)
+	cl := cluster.NewClusterOn(fabricOf(k), topo.Spec{Kind: topo.Direct}, 2, p)
+	tr := transport.NewCluster(k, cl)
+	w := &World{CL: cl, Transport: tr, n: 2, heapSize: heapSize, conns: map[[2]int]bool{}}
+	mk := func(rank int) *PE {
+		pe := &PE{Rank: rank, N: 2, Node: cl.Node(rank), world: w}
+		pe.heapBase = pe.Node.AllocDev(heapSize)
 		return pe
 	}
-	w.pes = []*PE{mk(0, tb.A), mk(1, tb.B)}
+	w.pes = []*PE{mk(0), mk(1)}
 	regs := [2]transport.Region{
-		tr.Register(tb.A, w.pes[0].heapBase, heapSize),
-		tr.Register(tb.B, w.pes[1].heapBase, heapSize),
+		tr.Register(w.pes[0].Node, w.pes[0].heapBase, heapSize),
+		tr.Register(w.pes[1].Node, w.pes[1].heapBase, heapSize),
 	}
 	for i, pe := range w.pes {
 		pe.local = regs[i]
@@ -175,20 +172,7 @@ func (w *World) PE(r int) *PE {
 }
 
 // Shutdown terminates the world's parked simulation processes.
-func (w *World) Shutdown() {
-	if w.TB != nil {
-		w.TB.Shutdown()
-		return
-	}
-	w.CL.Shutdown()
-}
-
-func (w *World) engine() *sim.Engine {
-	if w.TB != nil {
-		return w.TB.E
-	}
-	return w.CL.E
-}
+func (w *World) Shutdown() { w.CL.Shutdown() }
 
 // Malloc allocates n bytes (8-byte aligned) at the same symmetric offset
 // on every PE. The bump pointer is world state, so heaps cannot diverge
@@ -283,11 +267,11 @@ func (pe *PE) FetchAdd(w *gpusim.Warp, off uint64, addend uint64) uint64 {
 // this is the root team's Run: it materializes every rank; jobs that
 // span a subset should Run their Team instead.
 func (w *World) Run(body func(pe *PE, warp *gpusim.Warp)) {
-	if w.TB != nil {
+	if w.root == nil {
 		w.launch(w.pes, body)
 		return
 	}
-	w.Root().Run(body)
+	w.root.Run(body)
 }
 
 // launch starts body on each given PE and drives the engine until all
@@ -300,7 +284,7 @@ func (w *World) launch(pes []*PE, body func(pe *PE, warp *gpusim.Warp)) {
 			body(pe, warp)
 		})
 	}
-	w.engine().Run()
+	w.CL.E.Run()
 	for i, d := range dones {
 		if !d.Done() {
 			panic(fmt.Sprintf("shmem: PE %d did not complete (deadlock?)", pes[i].Rank))

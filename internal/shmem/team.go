@@ -39,7 +39,7 @@ type Team struct {
 // Root returns the team spanning every rank of the world. Only N-rank
 // worlds have teams; pair worlds use the two-PE Barrier directly.
 func (w *World) Root() *Team {
-	if w.CL == nil {
+	if w.root == nil {
 		panic("shmem: teams need an N-rank world (NewWorldN); pair worlds have exactly two PEs")
 	}
 	return w.root

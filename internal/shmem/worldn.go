@@ -28,11 +28,15 @@ import (
 // here; PEs and connections materialize on first touch, and collective
 // plans connect their own peers.
 func NewWorldN(k transport.Kind, spec topo.Spec, n int, p cluster.Params, heapSize uint64) *World {
-	fab := cluster.FabricExtoll
+	return NewWorldOnCluster(k, cluster.NewClusterOn(fabricOf(k), spec, n, p), heapSize)
+}
+
+// fabricOf names the cluster NIC family a transport kind drives.
+func fabricOf(k transport.Kind) cluster.Fabric {
 	if k == transport.KindIB {
-		fab = cluster.FabricIB
+		return cluster.FabricIB
 	}
-	return NewWorldOnCluster(k, cluster.NewClusterOn(fab, spec, n, p), heapSize)
+	return cluster.FabricExtoll
 }
 
 // NewWorldOnCluster wraps an existing cluster in a SHMEM world — the
@@ -69,7 +73,7 @@ func (w *World) connHint() transport.ConnHint {
 // exist yet (idempotent), materializing both PEs first. Setup plane: call
 // before Run. Pair worlds are born fully connected and must not call this.
 func (w *World) Connect(a, b int) {
-	if w.CL == nil {
+	if w.root == nil {
 		panic("shmem: Connect is for N-rank worlds; pair worlds are fully connected")
 	}
 	if a == b {

@@ -4,33 +4,37 @@ import (
 	"fmt"
 
 	"putget/internal/sim"
+	"putget/internal/wire"
 )
 
-// LinkConfig gives every cable in the fabric the same physics as a
-// point-to-point wire.Link direction: serialization bandwidth plus
-// fixed per-hop latency (propagation + switch crossing).
+// LinkConfig gives every cable in the fabric the same physics: a
+// wire.Cable's serialization bandwidth plus fixed per-hop latency
+// (propagation + switch crossing).
 type LinkConfig struct {
 	BytesPerSecond float64
 	Latency        sim.Duration
 }
 
-// Net is an N-node switched fabric carrying packets of type T. Each
-// node owns a Port (satisfying wire.Conduit[T]) that injects into the
-// fabric and receives ejected packets. The destination of a packet is
-// resolved from a sender-local routing key — extracted by the key
-// function (an EXTOLL origin port, an IB source QPN) and bound per node
-// with Bind at connection-setup time — mirroring how real fabrics route
-// on connection state rather than payload inspection.
+// Net is an N-node fabric carrying packets of type T. Each node owns a
+// Port (satisfying wire.Conduit[T]) that injects into the fabric and
+// receives ejected packets. On a switched net the destination of a
+// packet is resolved from a sender-local routing key — extracted by the
+// key function (an EXTOLL origin port, an IB source QPN) and bound per
+// node with Bind at connection-setup time — mirroring how real fabrics
+// route on connection state rather than payload inspection. A Direct
+// net delivers every packet to the other node.
 type Net[T any] struct {
-	e    *sim.Engine
-	g    *graph
-	name string
-	key  func(T) int
+	e       *sim.Engine
+	g       *graph
+	name    string
+	key     func(T) int
+	corrupt func(T) T
 
 	ports []*Port[T]
 	inbox []*sim.Chan[T]
 	// bind[node] maps a routing key (local to that node) to the
-	// destination node index. Lookup-only: never iterated.
+	// destination node index; nil on a Direct net. Lookup-only: never
+	// iterated.
 	bind []map[int]int
 
 	flows       map[flowKey]*flow
@@ -41,15 +45,17 @@ type flowKey struct{ src, dst int }
 
 // flow caches one (src, dst) pair's path. Adaptive routing may re-pick
 // the path, but only while inFlight is zero, so every packet of a burst
-// rides the same cables and per-flow FIFO order is preserved.
+// rides the same cables, per-flow FIFO order is preserved, and a packet
+// in flight finds its own path in fl.path at every hop.
 type flow struct {
 	path     []*channel
+	dst      int
 	inFlight int
 }
 
-// NewNet builds the switch graph for spec over n nodes. The key
-// function extracts the sender-local routing key from a packet; pair it
-// with Bind to resolve destinations.
+// NewNet builds the graph for spec over n nodes. The key function
+// extracts the sender-local routing key from a packet; pair it with Bind
+// to resolve destinations on a switched net.
 func NewNet[T any](e *sim.Engine, spec Spec, n int, cfg LinkConfig, name string, key func(T) int) *Net[T] {
 	if name == "" {
 		name = "net"
@@ -63,11 +69,15 @@ func NewNet[T any](e *sim.Engine, spec Spec, n int, cfg LinkConfig, name string,
 	}
 	nt.ports = make([]*Port[T], n)
 	nt.inbox = make([]*sim.Chan[T], n)
-	nt.bind = make([]map[int]int, n)
+	if spec.Kind != Direct {
+		nt.bind = make([]map[int]int, n)
+	}
 	for i := 0; i < n; i++ {
 		nt.ports[i] = &Port[T]{nt: nt, node: i, name: fmt.Sprintf("%s.n%d", name, i)}
 		nt.inbox[i] = sim.NewChan[T](e)
-		nt.bind[i] = make(map[int]int)
+		if nt.bind != nil {
+			nt.bind[i] = make(map[int]int)
+		}
 	}
 	return nt
 }
@@ -75,15 +85,30 @@ func NewNet[T any](e *sim.Engine, spec Spec, n int, cfg LinkConfig, name string,
 // Port returns node i's attachment point.
 func (nt *Net[T]) Port(i int) *Port[T] { return nt.ports[i] }
 
+// Inject returns node i's injection cable — on a Direct net the whole
+// path to the peer — so the owner can name it, cap its egress queue or
+// install a fault injector.
+func (nt *Net[T]) Inject(i int) *wire.Cable { return &nt.g.inject[i].Cable }
+
+// SetCorrupter sets how a cable's corrupt fault verdict damages a packet
+// (e.g. sets a Poisoned flag the receiver's CRC check trips on); nil
+// leaves payloads intact.
+func (nt *Net[T]) SetCorrupter(f func(T) T) { nt.corrupt = f }
+
 // Bind routes packets injected at node whose key extractor yields key to
-// dst. Transports call this when a connection is set up.
-func (nt *Net[T]) Bind(node, key, dst int) { nt.bind[node][key] = dst }
+// dst. Transports call this when a connection is set up; a Direct net
+// ignores it.
+func (nt *Net[T]) Bind(node, key, dst int) {
+	if nt.bind != nil {
+		nt.bind[node][key] = dst
+	}
+}
 
 // Nodes returns the node count.
 func (nt *Net[T]) Nodes() int { return nt.g.n }
 
 // Routers returns the switch count (torus: one per grid point; fat-tree:
-// leaves + spines).
+// leaves + spines; Direct: none).
 func (nt *Net[T]) Routers() int { return nt.g.routers }
 
 // Unreachable counts packets dropped at injection because no live path
@@ -103,6 +128,9 @@ func (nt *Net[T]) Hops(src, dst int) int {
 	if nt.g.downNode[src] || nt.g.downNode[dst] {
 		return -1
 	}
+	if nt.g.spec.Kind == Direct {
+		return 0
+	}
 	return nt.g.distTo(nt.g.nodeRouter[dst])[nt.g.nodeRouter[src]]
 }
 
@@ -116,7 +144,7 @@ func (nt *Net[T]) PathNames(src, dst int) []string {
 	}
 	names := make([]string, len(p))
 	for i, ch := range p {
-		names[i] = ch.name
+		names[i] = ch.Name()
 	}
 	return names
 }
@@ -125,21 +153,18 @@ func (nt *Net[T]) PathNames(src, dst int) []string {
 // cable — the congestion high-water mark.
 func (nt *Net[T]) MaxDepth() int {
 	max := 0
-	for r := range nt.g.adj {
-		for _, ch := range nt.g.adj[r] {
-			if ch.maxDepth > max {
-				max = ch.maxDepth
+	deepest := func(chs []*channel) {
+		for _, ch := range chs {
+			if d := ch.MaxDepth(); d > max {
+				max = d
 			}
 		}
 	}
-	for i := range nt.g.inject {
-		if nt.g.inject[i].maxDepth > max {
-			max = nt.g.inject[i].maxDepth
-		}
-		if nt.g.eject[i].maxDepth > max {
-			max = nt.g.eject[i].maxDepth
-		}
+	for _, chs := range nt.g.adj {
+		deepest(chs)
 	}
+	deepest(nt.g.inject)
+	deepest(nt.g.eject)
 	return max
 }
 
@@ -150,7 +175,7 @@ func (nt *Net[T]) flowFor(src, dst int) *flow {
 	k := flowKey{src, dst}
 	fl := nt.flows[k]
 	if fl == nil {
-		fl = &flow{}
+		fl = &flow{dst: dst}
 		nt.flows[k] = fl
 	}
 	adaptive := nt.g.spec.Routing == Adaptive
@@ -161,13 +186,16 @@ func (nt *Net[T]) flowFor(src, dst int) *flow {
 }
 
 // send injects pkt at node src with the upstream stage ready at `ready`
-// (cut-through floor, like wire.Link.SendAfter). The returned time is
-// when the packet enters the fabric off the injection cable — a lower
-// bound on delivery (the Conduit contract for multi-hop fabrics).
+// (the cable's cut-through floor). The returned time is when the packet
+// leaves the injection cable — its delivery time on a Direct net, a lower
+// bound on delivery across a switch (the Conduit contract).
 func (nt *Net[T]) send(src int, pkt T, wireBytes int, ready sim.Time) (sim.Time, bool) {
-	dst, bound := nt.bind[src][nt.key(pkt)]
-	if !bound {
-		panic(fmt.Sprintf("topo: %s.n%d sent packet with unbound routing key %d", nt.name, src, nt.key(pkt)))
+	dst := 1 - src // a Direct net's only destination
+	if nt.bind != nil {
+		var bound bool
+		if dst, bound = nt.bind[src][nt.key(pkt)]; !bound {
+			panic(fmt.Sprintf("topo: %s.n%d sent packet with unbound routing key %d", nt.name, src, nt.key(pkt)))
+		}
 	}
 	fl := nt.flowFor(src, dst)
 	if fl.path == nil {
@@ -178,77 +206,42 @@ func (nt *Net[T]) send(src int, pkt T, wireBytes int, ready sim.Time) (sim.Time,
 		return nt.e.Now(), false
 	}
 	fl.inFlight++
-	path := fl.path // the slice the whole packet rides, even if the flow re-picks later
-	sent := nt.enter(path[0], wireBytes, ready)
-	arrive := sent.Add(path[0].lat)
-	nt.hopAt(fl, dst, path, pkt, wireBytes, 1, arrive)
-	return arrive, true
+	return nt.hop(fl, 0, pkt, wireBytes, ready)
 }
 
-// hopAt schedules the crossing of path[i:] after the packet exits
-// path[i-1] at time `at`. The final exit delivers into the destination
-// inbox. Store-and-forward: each cable is reserved when the packet
+// hop puts the packet on fl.path[i] and returns the time it leaves that
+// cable; ok=false means the cable dropped it (depth cap or fault
+// injector). Store-and-forward: each cable is reserved when the packet
 // reaches it, so cross-traffic contention accrues per hop.
-func (nt *Net[T]) hopAt(fl *flow, dst int, path []*channel, pkt T, wireBytes int, i int, at sim.Time) {
+func (nt *Net[T]) hop(fl *flow, i int, pkt T, wireBytes int, ready sim.Time) (sim.Time, bool) {
+	at, ok, corrupt := fl.path[i].Transmit(wireBytes, ready)
+	if !ok {
+		fl.inFlight--
+		return at, false
+	}
+	if corrupt && nt.corrupt != nil {
+		pkt = nt.corrupt(pkt)
+	}
+	nt.arriveAt(fl, i, pkt, wireBytes, at)
+	return at, true
+}
+
+// arriveAt ends the packet's crossing of fl.path[i] at time `at`: the
+// last cable delivers into the destination inbox, any other forwards to
+// the next hop. The closure is the one allocation per packet and hop, so
+// it captures as little as it can: pkt is a parameter that is never
+// reassigned, so it is held by value instead of boxed, and the path and
+// destination are read from the flow.
+func (nt *Net[T]) arriveAt(fl *flow, i int, pkt T, wireBytes int, at sim.Time) {
 	nt.e.At(at, func() {
-		nt.exit(path[i-1], wireBytes)
-		if i == len(path) {
+		fl.path[i].Arrive(wireBytes)
+		if i+1 == len(fl.path) {
 			fl.inFlight--
-			nt.inbox[dst].Send(pkt)
+			nt.inbox[fl.dst].Send(pkt)
 			return
 		}
-		sent := nt.enter(path[i], wireBytes, at)
-		nt.hopAt(fl, dst, path, pkt, wireBytes, i+1, sent.Add(path[i].lat))
+		nt.hop(fl, i+1, pkt, wireBytes, nt.e.Now())
 	})
-}
-
-// enter reserves a cable for wireBytes starting no earlier than ready
-// and begins occupancy accounting; returns serialization-complete time.
-//
-// Unlike wire.Link.SendAfter (whose cut-through floor only postpones the
-// one packet's delivery), a future `ready` here holds the cable itself:
-// the bytes trickle onto the wire at the upstream stage's pace, so a
-// later injection cannot overtake an earlier one whose DMA is still
-// feeding. Per-cable delivery order therefore matches injection order,
-// which is what gives a fixed-path flow its FIFO guarantee — the
-// property shmem's collectives (data put, then flag put on the same
-// connection) are built on.
-func (nt *Net[T]) enter(ch *channel, wireBytes int, ready sim.Time) sim.Time {
-	ch.srv.Reserve(wireBytes) // rate/busy accounting; FIFO timing is freeAt's
-	start := nt.e.Now()
-	if ch.freeAt > start {
-		start = ch.freeAt
-	}
-	if ready > start {
-		start = ready
-	}
-	sent := start.Add(sim.BytesAt(wireBytes, ch.srv.Rate()))
-	ch.freeAt = sent
-	ch.inFlight++
-	if ch.inFlight > ch.maxDepth {
-		ch.maxDepth = ch.inFlight
-	}
-	ch.inFlightBytes += wireBytes
-	if nt.e.Observing() {
-		id := nt.e.SpanOpenAt(start, ch.name, "xmit",
-			sim.Attr{Key: "bytes", Val: int64(wireBytes)})
-		nt.e.SpanCloseAt(id, sent.Add(ch.lat))
-		nt.e.Metric(ch.name, "depth", float64(ch.inFlight))
-		nt.e.Metric(ch.name, "inflight_bytes", float64(ch.inFlightBytes))
-		nt.e.Metric(ch.name, "busy_us", ch.srv.BusyTotal().Microseconds())
-	}
-	return sent
-}
-
-// exit ends a cable's occupancy for one packet.
-func (nt *Net[T]) exit(ch *channel, wireBytes int) {
-	ch.inFlight--
-	ch.inFlightBytes -= wireBytes
-	ch.delivered++
-	if nt.e.Observing() {
-		nt.e.Metric(ch.name, "depth", float64(ch.inFlight))
-		nt.e.Metric(ch.name, "inflight_bytes", float64(ch.inFlightBytes))
-	}
 }
 
 // Port is node's attachment to the fabric; it satisfies wire.Conduit[T]
@@ -267,7 +260,7 @@ func (p *Port[T]) Send(pkt T, wireBytes int) (sim.Time, bool) {
 }
 
 // SendAfter injects like Send with delivery floored by the upstream
-// stage's readiness (cut-through DMA overlap), as wire.Link.SendAfter.
+// stage's readiness (cut-through DMA overlap), as wire.Cable.Transmit.
 func (p *Port[T]) SendAfter(pkt T, wireBytes int, ready sim.Time) (sim.Time, bool) {
 	return p.nt.send(p.node, pkt, wireBytes, ready)
 }

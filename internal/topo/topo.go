@@ -1,11 +1,11 @@
-// Package topo models switched multi-node interconnect topologies —
-// two-level fat-tree and 3D torus, per the APEnet+ lineage — built from
-// the same serialization/latency physics as internal/wire. Each directed
-// cable is a FIFO serialization point (sim.Server) plus fixed
-// propagation latency; packets cross the fabric store-and-forward,
-// reserving each hop when they arrive at it, so contention on shared
-// links is visible hop by hop in the same depth/inflight/busy metrics a
-// point-to-point wire.Link exposes.
+// Package topo models the interconnect between N nodes: a direct
+// two-node cable, a two-level fat-tree or a 3D torus (the APEnet+
+// lineage). Every directed cable is a wire.Cable — the simulator's one
+// link model, with its serialization, cut-through, FIFO-delivery, depth
+// and fault rules and its xmit spans and depth/inflight/busy metrics —
+// so a topo.Net only routes. Packets cross a switched fabric
+// store-and-forward, reserving each hop when they arrive at it, so
+// contention on shared links is visible hop by hop.
 //
 // Routing is minimal-path with two knobs: Deterministic picks a fixed
 // shortest path per (source, destination) pair by d-mod-k dispersion
@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"putget/internal/sim"
+	"putget/internal/wire"
 )
 
 // Kind selects the switch graph shape.
@@ -38,6 +39,10 @@ const (
 	// Torus3D places one router per node on a 3D grid with wraparound
 	// cables in +/-x, +/-y, +/-z; minimal paths progress per dimension.
 	Torus3D
+	// Direct joins exactly two nodes with one cable per direction and no
+	// switch: the paper's two-node testbed. The peer is the only
+	// destination, so a Direct net needs no routing-key bindings.
+	Direct
 )
 
 func (k Kind) String() string {
@@ -46,6 +51,8 @@ func (k Kind) String() string {
 		return "fattree"
 	case Torus3D:
 		return "torus"
+	case Direct:
+		return "direct"
 	}
 	return fmt.Sprintf("topo.Kind(%d)", int(k))
 }
@@ -119,23 +126,13 @@ func isqrtCeil(n int) int {
 	return r
 }
 
-// channel is one directed cable: a FIFO serialization point plus fixed
-// latency, with the same occupancy accounting a wire.Link keeps.
+// channel is one directed cable plus its place in the switch graph. The
+// cable is embedded by value so a graph of thousands of cables costs one
+// allocation per cable.
 type channel struct {
+	wire.Cable
 	from, to int // router ids (-1 on the node side of inject/eject)
-	name     string
-	srv      *sim.Server
-	lat      sim.Duration
 	down     bool
-
-	// freeAt is the last reservation's completion time — the adaptive
-	// router's congestion signal (sim.Server keeps its own copy private).
-	freeAt sim.Time
-
-	inFlight      int
-	inFlightBytes int
-	maxDepth      int
-	delivered     uint64
 }
 
 // graph is the routing-relevant switch structure, shared by the generic
@@ -153,7 +150,8 @@ type graph struct {
 	// order (torus: +x,-x,+y,-y,+z,-z; fat-tree: peer id ascending), the
 	// order d-mod-k dispersion indexes into.
 	adj [][]*channel
-	// inject[i]/eject[i] are node i's attachment cables.
+	// inject[i]/eject[i] are node i's attachment cables. A Direct net
+	// has no eject cables: inject[i] is the whole path to the peer.
 	inject, eject []*channel
 
 	// dist[d][r] is the live-path hop count from router r to router d,
@@ -180,9 +178,16 @@ func buildGraph(e *sim.Engine, spec Spec, n int, name string, bw float64, lat si
 	}
 	g := &graph{spec: spec, n: n}
 	newCh := func(from, to int, cname string) *channel {
-		return &channel{from: from, to: to, name: name + "." + cname, srv: sim.NewServer(e, bw), lat: lat}
+		return &channel{Cable: wire.NewCable(e, name+"."+cname, bw, lat), from: from, to: to}
 	}
 	switch spec.Kind {
+	case Direct:
+		if n != 2 {
+			panic(fmt.Sprintf("topo: a Direct net joins exactly 2 nodes, not %d", n))
+		}
+		if len(spec.DownLinks) > 0 {
+			panic("topo: a Direct net has no switch links to fail")
+		}
 	case FatTree:
 		radix := spec.Radix
 		if radix <= 0 {
@@ -293,14 +298,15 @@ func buildGraph(e *sim.Engine, spec Spec, n int, name string, bw float64, lat si
 	}
 
 	g.inject = make([]*channel, n)
-	g.eject = make([]*channel, n)
-	for i := 0; i < n; i++ {
-		r := g.nodeRouter[i]
-		g.inject[i] = newCh(-1, r, fmt.Sprintf("n%d>%s", i, g.routerName[r]))
-		g.eject[i] = newCh(r, -1, fmt.Sprintf("%s>n%d", g.routerName[r], i))
-		if g.downNode[i] {
-			g.inject[i].down = true
-			g.eject[i].down = true
+	if spec.Kind == Direct {
+		g.inject[0] = newCh(-1, -1, "n0>n1")
+		g.inject[1] = newCh(-1, -1, "n1>n0")
+	} else {
+		g.eject = make([]*channel, n)
+		for i := 0; i < n; i++ {
+			r := g.nodeRouter[i]
+			g.inject[i] = newCh(-1, r, fmt.Sprintf("n%d>%s", i, g.routerName[r]))
+			g.eject[i] = newCh(r, -1, fmt.Sprintf("%s>n%d", g.routerName[r], i))
 		}
 	}
 	g.dist = make([][]int, g.routers)
@@ -385,6 +391,9 @@ func (g *graph) path(src, dst int, adaptive bool) []*channel {
 	if g.downNode[src] || g.downNode[dst] {
 		return nil
 	}
+	if g.spec.Kind == Direct {
+		return g.inject[src : src+1]
+	}
 	sr, dr := g.nodeRouter[src], g.nodeRouter[dst]
 	t := g.distTo(dr)
 	if t[sr] < 0 {
@@ -417,7 +426,7 @@ func (g *graph) path(src, dst int, adaptive bool) []*channel {
 		}
 		pick := cands[dst%len(cands)]
 		for _, ch := range cands {
-			if ch.freeAt < pick.freeAt {
+			if ch.FreeAt() < pick.FreeAt() {
 				pick = ch
 			}
 		}

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -319,4 +320,118 @@ func TestDeterministicRouteMemo(t *testing.T) {
 	if afterHits != beforeHits+12 {
 		t.Fatalf("same-leaf source hits = %d, want %d", afterHits, beforeHits+12)
 	}
+}
+
+// fifoPkt carries what the FIFO property checks: its flow, its
+// injection sequence number within that flow, and its cut-through floor.
+type fifoPkt struct {
+	src, dst, seq int
+	ready         sim.Time
+}
+
+// Every net, whatever its shape and routing, must deliver each
+// (src, dst) flow in injection order, and no packet may land before its
+// upstream stage was ready plus one cable's latency — including packets
+// with random sizes whose DMA finishes at random future times, the case
+// in which a later, smaller packet would otherwise overtake.
+func TestFlowFIFOProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		n    int
+	}{
+		{"direct", Spec{Kind: Direct}, 2},
+		{"fattree", Spec{Kind: FatTree, Radix: 2}, 6},
+		{"torus", Spec{Kind: Torus3D}, 8},
+		{"torus-adaptive", Spec{Kind: Torus3D, Routing: Adaptive}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				checkFlowFIFO(t, tc.spec, tc.n, seed)
+			}
+		})
+	}
+}
+
+func checkFlowFIFO(t *testing.T, spec Spec, n int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	e := sim.NewEngine()
+	defer e.Shutdown()
+	nt := NewNet[fifoPkt](e, spec, n, cfg, "net", func(p fifoPkt) int { return p.dst })
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst {
+				nt.Bind(src, dst, dst)
+			}
+		}
+	}
+	type flowID struct{ src, dst int }
+	sent := map[flowID]int{}
+	const packets = 200
+	for i := 0; i < packets; i++ {
+		src := rng.Intn(n)
+		dst := (src + 1 + rng.Intn(n-1)) % n
+		size := 1 + rng.Intn(4096)
+		at := sim.Time(rng.Intn(40_000_000))      // inject within the first 40us
+		lead := sim.Duration(rng.Intn(8_000_000)) // DMA still feeding for up to 8us
+		e.At(at, func() {
+			f := flowID{src, dst}
+			p := fifoPkt{src: src, dst: dst, seq: sent[f], ready: e.Now().Add(lead)}
+			sent[f]++
+			if _, ok := nt.Port(src).SendAfter(p, size, p.ready); !ok {
+				t.Errorf("seed %d: packet %+v dropped on a healthy net", seed, p)
+			}
+		})
+	}
+	next := map[flowID]int{}
+	delivered := 0
+	for node := 0; node < n; node++ {
+		node := node
+		e.Spawn("rx", func(pr *sim.Proc) {
+			for {
+				p := nt.Port(node).Recv(pr)
+				f := flowID{p.src, p.dst}
+				if p.dst != node {
+					t.Errorf("seed %d: packet for n%d delivered at n%d", seed, p.dst, node)
+				}
+				if p.seq != next[f] {
+					t.Errorf("seed %d: flow %d->%d delivered seq %d, want %d (injection order)", seed, p.src, p.dst, p.seq, next[f])
+				}
+				if floor := p.ready.Add(cfg.Latency); pr.Now() < floor {
+					t.Errorf("seed %d: flow %d->%d seq %d delivered at %v, before ready+latency %v", seed, p.src, p.dst, p.seq, pr.Now(), floor)
+				}
+				next[f] = p.seq + 1
+				delivered++
+			}
+		})
+	}
+	e.Run()
+	if delivered != packets {
+		t.Fatalf("seed %d: delivered %d of %d packets", seed, delivered, packets)
+	}
+}
+
+// A Direct net is two nodes and one cable per direction: no routers, no
+// bindings, and each direction's path is that one cable.
+func TestDirectNet(t *testing.T) {
+	nt := newTestNet(t, Spec{Kind: Direct}, 2)
+	if nt.Routers() != 0 || nt.Hops(0, 1) != 0 {
+		t.Fatalf("routers = %d, hops = %d; want 0, 0", nt.Routers(), nt.Hops(0, 1))
+	}
+	for src, want := range []string{"net.n0>n1", "net.n1>n0"} {
+		if got := nt.PathNames(src, 1-src); len(got) != 1 || got[0] != want {
+			t.Fatalf("path %d->%d = %v, want [%s]", src, 1-src, got, want)
+		}
+	}
+	nt.Inject(0).SetName("a.wire")
+	if got := nt.PathNames(0, 1); got[0] != "a.wire" {
+		t.Fatalf("renamed injection cable reports %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-node Direct net did not panic")
+		}
+	}()
+	newTestNet(t, Spec{Kind: Direct}, 3)
 }

@@ -6,10 +6,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"putget/internal/cluster"
 	"putget/internal/gpusim"
+	"putget/internal/memspace"
 	"putget/internal/topo"
 )
 
@@ -143,6 +145,125 @@ func TestClusterManyToOne(t *testing.T) {
 					t.Fatalf("sender %d slot corrupted at byte %d: %d", s, i, got[si*512+i])
 				}
 			}
+		}
+	})
+}
+
+// pairOutcome is every data result of pairProgram: what the destination
+// saw when the flag landed, the fetch-add old values, and both nodes'
+// final buffers.
+type pairOutcome struct {
+	flagSeenFirst, flagSeenLast uint64
+	old1, old2                  uint64
+	bufA, bufB                  []byte
+}
+
+// Buffer layout of pairProgram (offsets into each node's region).
+const (
+	bulkOff, bulkLen = 0, 8192
+	flagOff          = 16384
+	getSrcOff        = 20480
+	getDstOff        = 24576
+	getLen           = 1024
+	ctrOff           = 32768
+	pairBuf          = 65536
+	flagValue        = 0xf1a6
+)
+
+// pairProgram runs one put/get program between nodes 0 and 1 of cl over
+// a plain Connect: a fire-and-forget bulk put, an immediate flag put
+// behind it that node 1 polls for, a get of node 1's seeded words and
+// two fetch-adds on node 1's counter.
+func pairProgram(t *testing.T, k Kind, cl *cluster.Cluster) pairOutcome {
+	t.Helper()
+	tr := NewCluster(k, cl)
+	na, nb := cl.Node(0), cl.Node(1)
+	aBuf, bBuf := na.AllocDev(pairBuf), nb.AllocDev(pairBuf)
+	aR, bR := tr.Register(na, aBuf, pairBuf), tr.Register(nb, bBuf, pairBuf)
+	ea, _ := tr.Connect(0, ConnHint{Atomics: true})
+
+	bulk := make([]byte, bulkLen)
+	for i := range bulk {
+		bulk[i] = byte(i*29 + 3)
+	}
+	seed := make([]byte, getLen)
+	for i := range seed {
+		seed[i] = byte(i*7 + 1)
+	}
+	ctr := make([]byte, 8)
+	binary.LittleEndian.PutUint64(ctr, 1000)
+	for _, w := range []struct {
+		n    *cluster.Node
+		addr memspace.Addr
+		data []byte
+	}{{na, aBuf + bulkOff, bulk}, {nb, bBuf + getSrcOff, seed}, {nb, bBuf + ctrOff, ctr}} {
+		if err := w.n.GPU.HostWrite(w.addr, w.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out pairOutcome
+	doneA := na.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
+		ea.DevPut(w, aR, bulkOff, bR, bulkOff, bulkLen, 0)
+		ea.DevPutImm(w, flagValue, bR, flagOff, 8, FlagLocalComp)
+		ea.DevWaitComplete(w, CompLocal)
+		ea.DevGet(w, aR, getDstOff, bR, getSrcOff, getLen)
+		out.old1 = ea.DevFetchAdd(w, 5, bR, ctrOff)
+		out.old2 = ea.DevFetchAdd(w, 7, bR, ctrOff)
+	})
+	doneB := nb.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
+		w.PollGlobalU64(bBuf+flagOff, flagValue)
+		out.flagSeenFirst = w.LdGlobalU64(bBuf + bulkOff)
+		out.flagSeenLast = w.LdGlobalU64(bBuf + bulkOff + bulkLen - 8)
+	})
+	cl.E.Run()
+	mustDone(t, doneA, "node 0 kernel")
+	mustDone(t, doneB, "node 1 kernel")
+	out.bufA, out.bufB = make([]byte, pairBuf), make([]byte, pairBuf)
+	if err := na.GPU.HostRead(aBuf, out.bufA); err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.GPU.HostRead(bBuf, out.bufB); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The pair testbed is a 2-node cluster over a direct cable; the same
+// program over a 2-node switched fat-tree must reach identical data
+// outcomes on both fabrics — only timing may differ.
+func TestDirectAndSwitchedPairAgree(t *testing.T) {
+	forBoth(t, func(t *testing.T, k Kind) {
+		fab := cluster.FabricExtoll
+		if k == KindIB {
+			fab = cluster.FabricIB
+		}
+		var outs []pairOutcome
+		for _, kind := range []topo.Kind{topo.Direct, topo.FatTree} {
+			cl := cluster.NewClusterOn(fab, topo.Spec{Kind: kind}, 2, cluster.Default())
+			outs = append(outs, pairProgram(t, k, cl))
+			cl.Shutdown()
+		}
+		direct, switched := outs[0], outs[1]
+		if !bytes.Equal(direct.bufA[:bulkLen], direct.bufB[:bulkLen]) {
+			t.Fatal("bulk put did not land")
+		}
+		if direct.flagSeenFirst != binary.LittleEndian.Uint64(direct.bufB) ||
+			direct.flagSeenLast != binary.LittleEndian.Uint64(direct.bufB[bulkLen-8:]) {
+			t.Fatal("flag landed before the bulk data it follows")
+		}
+		if direct.old1 != 1000 || direct.old2 != 1005 {
+			t.Fatalf("fetch-add old values %d, %d; want 1000, 1005", direct.old1, direct.old2)
+		}
+		if !bytes.Equal(direct.bufA[getDstOff:getDstOff+getLen], direct.bufB[getSrcOff:getSrcOff+getLen]) {
+			t.Fatal("get did not copy node 1's words")
+		}
+		if direct.flagSeenFirst != switched.flagSeenFirst || direct.flagSeenLast != switched.flagSeenLast ||
+			direct.old1 != switched.old1 || direct.old2 != switched.old2 {
+			t.Fatalf("direct %+v and switched %+v disagree", direct, switched)
+		}
+		if !bytes.Equal(direct.bufA, switched.bufA) || !bytes.Equal(direct.bufB, switched.bufB) {
+			t.Fatal("final buffers differ between the direct and the switched pair")
 		}
 	})
 }

@@ -15,31 +15,18 @@ import (
 // benchmark running over this adapter is cycle-identical to one written
 // against core.RMA directly.
 type Extoll struct {
-	tb *cluster.Testbed // pair testbeds; nil for clusters
-	cl *cluster.Cluster // N-node clusters; nil for pairs
-	// rmas binds one core.RMA per node, built eagerly for pairs and
-	// lazily (first touch) for cluster nodes. Lookup-only map.
+	cl *cluster.Cluster
+	// rmas binds one core.RMA per node on first touch. Lookup-only map.
 	rmas map[*cluster.Node]*core.RMA
-	// nextPort allocates connection ports per node: unlike a pair, the
-	// two ends of a cluster connection generally get different port
-	// numbers (each node numbers its own connections independently).
+	// nextPort allocates ConnectPair ports per node: the two ends of a
+	// connection generally get different port numbers (each node numbers
+	// its own connections independently).
 	nextPort map[*cluster.Node]int
-	nextIdx  int // pair ConnectPair port counter
 }
 
-// NewExtoll builds the EXTOLL adapter over a testbed from
-// cluster.NewExtollPair.
-func NewExtoll(tb *cluster.Testbed) *Extoll {
-	return &Extoll{
-		tb:       tb,
-		rmas:     map[*cluster.Node]*core.RMA{tb.A: core.NewRMA(tb.A), tb.B: core.NewRMA(tb.B)},
-		nextPort: map[*cluster.Node]int{},
-	}
-}
-
-// NewExtollCluster builds the EXTOLL adapter over an N-node cluster
-// from cluster.NewClusterOn(cluster.FabricExtoll, ...).
-func NewExtollCluster(cl *cluster.Cluster) *Extoll {
+// NewExtoll builds the EXTOLL adapter over a cluster from
+// cluster.NewClusterOn(cluster.FabricExtoll, ...) or NewExtollPair.
+func NewExtoll(cl *cluster.Cluster) *Extoll {
 	return &Extoll{
 		cl:       cl,
 		rmas:     map[*cluster.Node]*core.RMA{},
@@ -50,32 +37,21 @@ func NewExtollCluster(cl *cluster.Cluster) *Extoll {
 // Kind implements Transport.
 func (t *Extoll) Kind() Kind { return KindExtoll }
 
-// Testbed implements Transport.
-func (t *Extoll) Testbed() *cluster.Testbed { return t.tb }
-
 // Cluster implements Transport.
 func (t *Extoll) Cluster() *cluster.Cluster { return t.cl }
 
-// RMA exposes the underlying per-node RMA binding (side 0 = node A) for
-// cost-model experiments that need the raw EXTOLL API. Pair only.
-func (t *Extoll) RMA(side int) *core.RMA {
-	if side == 0 {
-		return t.rma(t.tb.A)
-	}
-	return t.rma(t.tb.B)
-}
+// RMA exposes the RMA binding of node i for cost-model experiments that
+// need the raw EXTOLL API.
+func (t *Extoll) RMA(i int) *core.RMA { return t.rma(t.cl.Node(i)) }
 
 func (t *Extoll) rma(n *cluster.Node) *core.RMA {
 	if r := t.rmas[n]; r != nil {
 		return r
 	}
-	if t.cl != nil {
-		t.cl.IndexOf(n) // panics on foreign nodes
-		r := core.NewRMA(n)
-		t.rmas[n] = r
-		return r
-	}
-	panic("transport: node not part of this testbed")
+	t.cl.IndexOf(n) // panics on foreign nodes
+	r := core.NewRMA(n)
+	t.rmas[n] = r
+	return r
 }
 
 // Register implements Transport: the window enters node n's address
@@ -84,44 +60,32 @@ func (t *Extoll) Register(n *cluster.Node, base memspace.Addr, size uint64) Regi
 	return Region{Base: base, Size: size, kind: KindExtoll, nla: t.rma(n).Register(base, size)}
 }
 
-// Connect implements Transport: port idx is opened on both NICs and
-// cabled together. EXTOLL has no per-connection rings to size, so the
-// hint only matters for its Atomics field (a no-op here — EXTOLL
+// Connect implements Transport: port idx is opened on nodes 0 and 1 and
+// the two are connected. EXTOLL has no per-connection rings to size, so
+// the hint only matters for its Atomics field (a no-op here — EXTOLL
 // fetch-add needs no landing buffer; the old value returns in the
 // responder notification).
 func (t *Extoll) Connect(idx int, hint ConnHint) (Endpoint, Endpoint) {
-	if t.tb == nil {
-		panic("transport: Connect is pair-only; use ConnectPair on a cluster")
-	}
-	ra, rb := t.rma(t.tb.A), t.rma(t.tb.B)
-	ra.OpenPort(idx)
-	rb.OpenPort(idx)
-	extoll.ConnectPorts(t.tb.A.Extoll, idx, t.tb.B.Extoll, idx)
-	return &extEndpoint{r: ra, node: t.tb.A, port: idx},
-		&extEndpoint{r: rb, node: t.tb.B, port: idx}
+	return t.connect(t.cl.Node(0), idx, t.cl.Node(1), idx)
 }
 
 // ConnectPair implements Transport: each node allocates its next free
-// port, the ports are cross-connected (EXTOLL supports asymmetric port
-// numbers), and on a cluster the topology routing tables learn that
-// packets originating from each port reach the other node.
+// port and the ports are cross-connected (EXTOLL supports asymmetric
+// port numbers).
 func (t *Extoll) ConnectPair(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endpoint) {
 	if na == nb {
 		panic("transport: ConnectPair needs two distinct nodes")
 	}
-	if t.tb != nil {
-		idx := t.nextIdx
-		t.nextIdx++
-		ea, eb := t.Connect(idx, hint)
-		if na == t.tb.B { // argument order is preserved
-			ea, eb = eb, ea
-		}
-		return ea, eb
-	}
-	ra, rb := t.rma(na), t.rma(nb)
 	pa, pb := t.nextPort[na], t.nextPort[nb]
 	t.nextPort[na] = pa + 1
 	t.nextPort[nb] = pb + 1
+	return t.connect(na, pa, nb, pb)
+}
+
+// connect opens port pa on na and pb on nb, connects them, and binds the
+// routes that carry packets originating from each port to the other node.
+func (t *Extoll) connect(na *cluster.Node, pa int, nb *cluster.Node, pb int) (Endpoint, Endpoint) {
+	ra, rb := t.rma(na), t.rma(nb)
 	ra.OpenPort(pa)
 	rb.OpenPort(pb)
 	extoll.ConnectPorts(na.Extoll, pa, nb.Extoll, pb)

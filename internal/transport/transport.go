@@ -131,30 +131,27 @@ func (r Region) MR() *ibsim.MR {
 }
 
 // Transport is the setup plane: build Regions and connected Endpoint
-// pairs over a two-node testbed or an N-node cluster.
+// pairs over a cluster — the two-node Direct testbed or an N-node
+// switched fabric.
 type Transport interface {
 	// Kind names the backend.
 	Kind() Kind
-	// Testbed returns the two-node testbed this transport drives, or nil
-	// when it drives an N-node cluster.
-	Testbed() *cluster.Testbed
-	// Cluster returns the N-node cluster this transport drives, or nil
-	// when it drives a pair testbed.
+	// Cluster returns the cluster this transport drives.
 	Cluster() *cluster.Cluster
 	// Register makes [base, base+size) of node n's memory remotely
 	// addressable.
 	Register(n *cluster.Node, base memspace.Addr, size uint64) Region
-	// Connect opens connection idx between a pair testbed's two nodes and
-	// returns the endpoint pair (a on node A, b on node B). idx selects
-	// the EXTOLL port; IB allocates a fresh queue pair per call. Calls
-	// must use distinct idx values. Pair testbeds only.
+	// Connect opens connection idx between nodes 0 and 1 and returns the
+	// endpoint pair (a on node 0, b on node 1). idx selects the EXTOLL
+	// port on both nodes; IB allocates a fresh queue pair per call. Calls
+	// must use distinct idx values and must not be mixed with ConnectPair
+	// calls between the same two nodes.
 	Connect(idx int, hint ConnHint) (a, b Endpoint)
 	// ConnectPair opens a connection between any two distinct nodes and
 	// returns the endpoint pair in argument order. Connection identities
 	// (EXTOLL ports, IB queue pairs) are allocated per node, and on a
-	// cluster the topology's routing tables are bound so each side's
-	// packets reach the other. Works on both pair testbeds and clusters;
-	// on pair testbeds do not mix with explicitly-indexed Connect calls.
+	// switched net the routing tables are bound so each side's packets
+	// reach the other.
 	ConnectPair(a, b *cluster.Node, hint ConnHint) (ea, eb Endpoint)
 }
 
@@ -208,18 +205,13 @@ type Endpoint interface {
 
 // New builds the adapter for a fabric kind over a testbed created with
 // the matching cluster constructor.
-func New(k Kind, tb *cluster.Testbed) Transport {
-	if k == KindExtoll {
-		return NewExtoll(tb)
-	}
-	return NewVerbs(tb)
-}
+func New(k Kind, tb *cluster.Testbed) Transport { return NewCluster(k, tb.Cluster) }
 
-// NewCluster builds the adapter for a fabric kind over an N-node
-// cluster built with the matching cluster.NewClusterOn fabric.
+// NewCluster builds the adapter for a fabric kind over a cluster built
+// with the matching cluster.NewClusterOn fabric.
 func NewCluster(k Kind, cl *cluster.Cluster) Transport {
 	if k == KindExtoll {
-		return NewExtollCluster(cl)
+		return NewExtoll(cl)
 	}
-	return NewVerbsCluster(cl)
+	return NewVerbs(cl)
 }

@@ -17,57 +17,35 @@ import (
 // keeps its conversion/lookup costs, and queue placement follows the
 // ConnHint, so numbers through this adapter equal the raw Verbs path.
 type Verbs struct {
-	tb *cluster.Testbed // pair testbeds; nil for clusters
-	cl *cluster.Cluster // N-node clusters; nil for pairs
-	// vs binds one core.Verbs per node, eager for pairs, lazy for
-	// cluster nodes. Lookup-only map.
+	cl *cluster.Cluster
+	// vs binds one core.Verbs per node on first touch. Lookup-only map.
 	vs map[*cluster.Node]*core.Verbs
 }
 
-// NewVerbs builds the InfiniBand adapter over a testbed from
-// cluster.NewIBPair.
-func NewVerbs(tb *cluster.Testbed) *Verbs {
-	return &Verbs{
-		tb: tb,
-		vs: map[*cluster.Node]*core.Verbs{tb.A: core.NewVerbs(tb.A), tb.B: core.NewVerbs(tb.B)},
-	}
-}
-
-// NewVerbsCluster builds the InfiniBand adapter over an N-node cluster
-// from cluster.NewClusterOn(cluster.FabricIB, ...).
-func NewVerbsCluster(cl *cluster.Cluster) *Verbs {
+// NewVerbs builds the InfiniBand adapter over a cluster from
+// cluster.NewClusterOn(cluster.FabricIB, ...) or NewIBPair.
+func NewVerbs(cl *cluster.Cluster) *Verbs {
 	return &Verbs{cl: cl, vs: map[*cluster.Node]*core.Verbs{}}
 }
 
 // Kind implements Transport.
 func (t *Verbs) Kind() Kind { return KindIB }
 
-// Testbed implements Transport.
-func (t *Verbs) Testbed() *cluster.Testbed { return t.tb }
-
 // Cluster implements Transport.
 func (t *Verbs) Cluster() *cluster.Cluster { return t.cl }
 
-// Verbs exposes the underlying per-node Verbs binding (side 0 = node A)
-// for cost-model experiments that need the raw API. Pair only.
-func (t *Verbs) Verbs(side int) *core.Verbs {
-	if side == 0 {
-		return t.verbs(t.tb.A)
-	}
-	return t.verbs(t.tb.B)
-}
+// Verbs exposes the Verbs binding of node i for cost-model experiments
+// that need the raw API.
+func (t *Verbs) Verbs(i int) *core.Verbs { return t.verbs(t.cl.Node(i)) }
 
 func (t *Verbs) verbs(n *cluster.Node) *core.Verbs {
 	if v := t.vs[n]; v != nil {
 		return v
 	}
-	if t.cl != nil {
-		t.cl.IndexOf(n) // panics on foreign nodes
-		v := core.NewVerbs(n)
-		t.vs[n] = v
-		return v
-	}
-	panic("transport: node not part of this testbed")
+	t.cl.IndexOf(n) // panics on foreign nodes
+	v := core.NewVerbs(n)
+	t.vs[n] = v
+	return v
 }
 
 // Register implements Transport.
@@ -75,20 +53,17 @@ func (t *Verbs) Register(n *cluster.Node, base memspace.Addr, size uint64) Regio
 	return Region{Base: base, Size: size, kind: KindIB, mr: t.verbs(n).RegMR(base, size)}
 }
 
-// Connect implements Transport: one queue pair per call, rings sized and
-// placed per the hint. With hint.Atomics each endpoint additionally gets
-// an 8-byte registered device-memory landing buffer for fetch-add
-// results; without it the allocation layout is untouched.
+// Connect implements Transport: one queue pair per call between nodes 0
+// and 1, rings sized and placed per the hint. With hint.Atomics each
+// endpoint additionally gets an 8-byte registered device-memory landing
+// buffer for fetch-add results; without it the allocation layout is
+// untouched.
 func (t *Verbs) Connect(idx int, hint ConnHint) (Endpoint, Endpoint) {
-	if t.tb == nil {
-		panic("transport: Connect is pair-only; use ConnectPair on a cluster")
-	}
-	return t.connect(t.tb.A, t.tb.B, hint)
+	return t.connect(t.cl.Node(0), t.cl.Node(1), hint)
 }
 
-// ConnectPair implements Transport: one fresh queue pair per node, RC-
-// connected; on a cluster the topology routing tables learn that packets
-// sent from each QPN reach the other node.
+// ConnectPair implements Transport: one fresh queue pair per node,
+// RC-connected.
 func (t *Verbs) ConnectPair(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endpoint) {
 	if na == nb {
 		panic("transport: ConnectPair needs two distinct nodes")
@@ -96,6 +71,8 @@ func (t *Verbs) ConnectPair(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endp
 	return t.connect(na, nb, hint)
 }
 
+// connect creates and RC-connects one queue pair per node, and binds the
+// routes that carry packets sent from each QPN to the other node.
 func (t *Verbs) connect(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endpoint) {
 	sq, rq, cq := hint.SendEntries, hint.RecvEntries, hint.CompEntries
 	if sq == 0 {
@@ -111,10 +88,8 @@ func (t *Verbs) connect(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endpoint
 	qa := va.CreateQP(sq, rq, cq, hint.QueuesOnGPU)
 	qb := vb.CreateQP(sq, rq, cq, hint.QueuesOnGPU)
 	core.ConnectVQPs(qa, qb)
-	if t.cl != nil {
-		t.cl.BindIB(na, qa.QP.QPN, nb)
-		t.cl.BindIB(nb, qb.QP.QPN, na)
-	}
+	t.cl.BindIB(na, qa.QP.QPN, nb)
+	t.cl.BindIB(nb, qb.QP.QPN, na)
 	ea := &ibEndpoint{v: va, node: na, qp: qa}
 	eb := &ibEndpoint{v: vb, node: nb, qp: qb}
 	if hint.Atomics {

@@ -1,6 +1,24 @@
-// Package wire models the cable between two NICs: a full-duplex link with
-// serialization bandwidth and propagation/switch latency per direction,
-// plus hooks for deterministic fault injection and a bounded egress queue.
+// Package wire models the cable between two NICs. A Cable is one
+// direction: a FIFO serialization point at the link rate plus a fixed
+// propagation/switch latency, with hooks for deterministic fault
+// injection and a bounded egress queue. It is the only link model in the
+// simulator — the pair testbed's direct cable and every hop of a switched
+// topo.Net embed a Cable — so all links share one timing rule and one set
+// of xmit spans and depth/inflight_bytes/busy_us metrics.
+//
+// Timing. A packet reserves its serialization window FIFO behind earlier
+// packets and is sent (serialization complete) at
+//
+//	sent = max(reserve, ready, lastSent)
+//
+// where reserve is the end of that window, ready is the cut-through
+// floor (the upstream stage still feeding the wire — a DMA read —
+// finishes at ready, so serialization overlaps it but cannot complete
+// before it), and lastSent is the monotone-delivery floor: no packet is
+// sent before the packet injected ahead of it on the same cable. Delivery
+// order therefore equals injection order on every cable, which is the
+// FIFO guarantee flag-after-data protocols are built on; only a fault
+// injector's extra delay can reorder packets.
 //
 // Drop accounting distinguishes two loss points with different physics:
 //
@@ -29,12 +47,11 @@ type Faults interface {
 }
 
 // Conduit is the transmit/receive contract NICs program against. It is
-// satisfied by *Link (a direct point-to-point cable) and by topology
-// ports that route packets across multi-hop switched fabrics. For
-// multi-hop implementations the returned deliver time is the time the
-// packet enters the fabric (a lower bound on arrival), exact only for a
-// single-hop link; ok=false means the packet was dropped (depth cap,
-// fault injector, or no route) and the time is not a delivery time.
+// satisfied by *Link and by topo.Net ports. For multi-hop implementations
+// the returned deliver time is the time the packet leaves the first
+// cable (a lower bound on arrival), exact for a single cable; ok=false
+// means the packet was dropped (depth cap, fault injector, or no route)
+// and the time is not a delivery time.
 type Conduit[T any] interface {
 	Send(pkt T, wireBytes int) (deliver sim.Time, ok bool)
 	SendAfter(pkt T, wireBytes int, ready sim.Time) (deliver sim.Time, ok bool)
@@ -43,20 +60,24 @@ type Conduit[T any] interface {
 	Name() string
 }
 
-// Link is one direction of a cable. Packets serialize FIFO at the link
-// rate, fly for the fixed latency, and land in the receiver's inbox.
-type Link[T any] struct {
+// Cable is one direction of a cable. It books serialization time and
+// keeps the occupancy accounting; delivering the packet at the returned
+// time (and calling Arrive then) is the owner's job, so a Cable carries
+// no packet type.
+type Cable struct {
 	e       *sim.Engine
 	name    string
+	rate    float64 // bytes per second
 	latency sim.Duration
-	srv     *sim.Server
-	inbox   *sim.Chan[T]
 
-	faults    Faults
-	corrupter func(T) T
+	busyUntil sim.Time     // end of the last serialization reservation
+	lastSent  sim.Time     // latest serialization-complete time handed out
+	busyTotal sim.Duration // accumulated serialization time
+
+	faults Faults
 
 	// Egress queue accounting: packets scheduled but not yet delivered.
-	// depthCap == 0 leaves the queue unbounded (the seed behaviour).
+	// depthCap == 0 leaves the queue unbounded.
 	depthCap      int
 	inFlight      int
 	inFlightBytes int
@@ -64,14 +85,157 @@ type Link[T any] struct {
 	dropped       uint64
 }
 
+// NewCable returns one direction with the given bandwidth (bytes/second)
+// and one-way latency. It returns a value so owners embed the cable
+// without a separate allocation.
+func NewCable(e *sim.Engine, name string, bytesPerSecond float64, latency sim.Duration) Cable {
+	if bytesPerSecond <= 0 {
+		panic("wire: cable rate must be positive")
+	}
+	return Cable{e: e, name: name, rate: bytesPerSecond, latency: latency}
+}
+
+// SetName labels this direction for structured traces, spans and metric
+// series ("a.rma.wire"). Unnamed cables report as "wire".
+func (c *Cable) SetName(name string) { c.name = name }
+
+// Name returns the label set by SetName, or "wire".
+func (c *Cable) Name() string {
+	if c.name == "" {
+		return "wire"
+	}
+	return c.name
+}
+
+// SetFaults installs a fault injector on this direction (nil removes it).
+// A corrupt verdict is reported by Transmit; the owner poisons the
+// packet's payload.
+func (c *Cable) SetFaults(f Faults) { c.faults = f }
+
+// SetDepthCap bounds the egress queue to n scheduled-but-undelivered
+// packets; packets beyond the cap are tail-dropped and counted. 0 leaves
+// the queue unbounded.
+func (c *Cable) SetDepthCap(n int) { c.depthCap = n }
+
+// Dropped reports packets lost to the depth cap or the fault injector.
+func (c *Cable) Dropped() uint64 { return c.dropped }
+
+// MaxDepth reports the deepest egress queue observed.
+func (c *Cable) MaxDepth() int { return c.maxDepth }
+
+// Utilization returns accumulated serialization time.
+func (c *Cable) Utilization() sim.Duration { return c.busyTotal }
+
+// FreeAt reports when the transmitter finishes its booked serialization —
+// the congestion signal adaptive routing compares.
+func (c *Cable) FreeAt() sim.Time { return c.busyUntil }
+
+// Transmit puts one packet of wireBytes on the cable with its upstream
+// stage ready at `ready` (pass 0 or the current time when nothing
+// upstream is pending) and returns its delivery time. The packet occupies
+// the egress queue until the owner calls Arrive at that time. ok=false
+// means the packet was dropped — a tail drop (deliver is the current
+// time, no link time spent) or an injector drop (deliver is the
+// serialization-complete time; the link time was spent). corrupt reports
+// an injector verdict to poison the payload.
+func (c *Cable) Transmit(wireBytes int, ready sim.Time) (deliver sim.Time, ok, corrupt bool) {
+	now := c.e.Now()
+	if c.depthCap > 0 && c.inFlight >= c.depthCap {
+		// A tail-dropped packet never entered the egress queue, so it must
+		// not occupy the link (reserving first would inflate Utilization()
+		// and starve live packets behind phantom ones).
+		c.dropped++
+		if c.e.Traced() {
+			c.e.Tracev(c.Name(), "fault", "fault: wire tail-drop (%dB, depth %d)", wireBytes, c.inFlight)
+		}
+		return now, false, false
+	}
+	ser := sim.BytesAt(wireBytes, c.rate)
+	start := now
+	if c.busyUntil > start {
+		start = c.busyUntil
+	}
+	c.busyUntil = start.Add(ser)
+	c.busyTotal += ser
+	sent := c.busyUntil
+	if ready > sent {
+		sent = ready
+	}
+	if c.lastSent > sent {
+		sent = c.lastSent
+	}
+	c.lastSent = sent
+
+	// Serialization finished at sent; a fault's extra delay postpones only
+	// the flight, so the xmit span's serialization window is anchored at
+	// this pre-delay instant.
+	serDone := sent
+	if c.faults != nil {
+		drop, bad, extra := c.faults.Judge(sent, wireBytes)
+		if drop {
+			c.dropped++
+			if c.e.Traced() {
+				c.e.Tracev(c.Name(), "fault", "fault: wire drop (%dB at %v)", wireBytes, sent)
+			}
+			return sent, false, false
+		}
+		if bad && c.e.Traced() {
+			c.e.Tracev(c.Name(), "fault", "fault: wire corrupt (%dB at %v)", wireBytes, sent)
+		}
+		corrupt = bad
+		sent = sent.Add(extra)
+	}
+	c.inFlight++
+	if c.inFlight > c.maxDepth {
+		c.maxDepth = c.inFlight
+	}
+	c.inFlightBytes += wireBytes
+	deliver = sent.Add(c.latency)
+	if c.e.Observing() {
+		// The xmit span covers this packet's own serialization window plus
+		// its flight: start when its bytes begin occupying the link (which
+		// may be in the future under cut-through or behind queued packets),
+		// end at delivery.
+		start := serDone.Add(-ser)
+		if start < now {
+			start = now
+		}
+		id := c.e.SpanOpenAt(start, c.Name(), "xmit",
+			sim.Attr{Key: "bytes", Val: int64(wireBytes)})
+		c.e.SpanCloseAt(id, deliver)
+		c.e.Metric(c.Name(), "depth", float64(c.inFlight))
+		c.e.Metric(c.Name(), "inflight_bytes", float64(c.inFlightBytes))
+		c.e.Metric(c.Name(), "busy_us", c.busyTotal.Microseconds())
+	}
+	return deliver, true, corrupt
+}
+
+// Arrive ends one delivered packet's occupancy of the egress queue; call
+// it at the delivery time Transmit returned.
+func (c *Cable) Arrive(wireBytes int) {
+	c.inFlight--
+	c.inFlightBytes -= wireBytes
+	if c.e.Observing() {
+		c.e.Metric(c.Name(), "depth", float64(c.inFlight))
+		c.e.Metric(c.Name(), "inflight_bytes", float64(c.inFlightBytes))
+	}
+}
+
+// Link is a Cable plus the receiver's inbox: a self-contained
+// point-to-point direction for unit tests and microbenchmarks. Testbeds
+// build their cables inside a topo.Net.
+type Link[T any] struct {
+	Cable
+	inbox     *sim.Chan[T]
+	corrupter func(T) T
+}
+
 // NewLink creates one direction with the given bandwidth (bytes/second)
 // and one-way latency.
 func NewLink[T any](e *sim.Engine, bytesPerSecond float64, latency sim.Duration) *Link[T] {
 	return &Link[T]{
-		e:       e,
-		latency: latency,
-		srv:     sim.NewServer(e, bytesPerSecond),
-		inbox:   sim.NewChan[T](e),
+		Cable: NewCable(e, "", bytesPerSecond, latency),
+		inbox: sim.NewChan[T](e),
 	}
 }
 
@@ -80,143 +244,40 @@ func NewDuplex[T any](e *sim.Engine, bytesPerSecond float64, latency sim.Duratio
 	return NewLink[T](e, bytesPerSecond, latency), NewLink[T](e, bytesPerSecond, latency)
 }
 
-// SetName labels this direction for structured traces, spans and metric
-// series ("a.rma.wire"). Unnamed links report as "wire".
-func (l *Link[T]) SetName(name string) { l.name = name }
-
-// Name returns the label set by SetName, or "wire".
-func (l *Link[T]) Name() string {
-	if l.name == "" {
-		return "wire"
-	}
-	return l.name
-}
-
 // SetFaults installs a fault injector on this direction. corrupter marks a
 // packet's payload as damaged (e.g. sets a Poisoned flag the receiver's
-// CRC check trips on); nil disables corruption even if the injector asks
-// for it.
+// CRC check trips on); nil leaves payloads intact even if the injector
+// asks for corruption.
 func (l *Link[T]) SetFaults(f Faults, corrupter func(T) T) {
-	l.faults = f
+	l.Cable.SetFaults(f)
 	l.corrupter = corrupter
 }
 
-// SetDepthCap bounds the egress queue to n scheduled-but-undelivered
-// packets; packets beyond the cap are tail-dropped and counted. 0 restores
-// the unbounded seed behaviour.
-func (l *Link[T]) SetDepthCap(n int) { l.depthCap = n }
-
-// Dropped reports packets lost to the depth cap or the fault injector.
-func (l *Link[T]) Dropped() uint64 { return l.dropped }
-
-// MaxDepth reports the deepest egress queue observed.
-func (l *Link[T]) MaxDepth() int { return l.maxDepth }
-
-// tailDrop applies the depth cap before any serialization time is
-// reserved: a tail-dropped packet never entered the egress queue, so it
-// must not occupy the link (reserving first would inflate Utilization()
-// and starve live packets behind phantom ones).
-func (l *Link[T]) tailDrop(wireBytes int) bool {
-	if l.depthCap <= 0 || l.inFlight < l.depthCap {
-		return false
-	}
-	l.dropped++
-	if l.e.Traced() {
-		l.e.Tracev(l.Name(), "fault", "fault: wire tail-drop (%dB, depth %d)", wireBytes, l.inFlight)
-	}
-	return true
+// Send transmits pkt occupying wireBytes of link time; delivery into the
+// receiver inbox happens after serialization plus latency. The sender
+// does not block. ok reports whether the packet was scheduled for
+// delivery; see Cable.Transmit for the drop cases.
+func (l *Link[T]) Send(pkt T, wireBytes int) (deliver sim.Time, ok bool) {
+	return l.SendAfter(pkt, wireBytes, 0)
 }
 
-// post applies the fault verdicts, then schedules delivery. ok reports
-// whether the packet was actually scheduled (false: injector drop). The
-// incoming sent is the serialization-complete time; an injector drop at
-// this point is loss in flight, after the link time was already spent —
-// see the package comment for the tail-drop contrast.
-func (l *Link[T]) post(pkt T, wireBytes int, sent sim.Time) (deliver sim.Time, ok bool) {
-	// Serialization finished at sent; fault extraDelay below postpones
-	// only the flight, so the xmit span's serialization window must be
-	// back-computed from this pre-delay instant.
-	serDone := sent
-	if l.faults != nil {
-		drop, corrupt, extra := l.faults.Judge(sent, wireBytes)
-		if drop {
-			l.dropped++
-			if l.e.Traced() {
-				l.e.Tracev(l.Name(), "fault", "fault: wire drop (%dB at %v)", wireBytes, sent)
-			}
-			return sent, false
-		}
-		if corrupt && l.corrupter != nil {
-			pkt = l.corrupter(pkt)
-			if l.e.Traced() {
-				l.e.Tracev(l.Name(), "fault", "fault: wire corrupt (%dB at %v)", wireBytes, sent)
-			}
-		}
-		sent = sent.Add(extra)
+// SendAfter transmits pkt like Send with delivery floored by the upstream
+// stage's readiness at `ready` plus the link latency — used by
+// cut-through senders whose DMA read finishes at `ready` while the wire
+// serializes concurrently.
+func (l *Link[T]) SendAfter(pkt T, wireBytes int, ready sim.Time) (deliver sim.Time, ok bool) {
+	deliver, ok, corrupt := l.Transmit(wireBytes, ready)
+	if !ok {
+		return deliver, false
 	}
-	l.inFlight++
-	if l.inFlight > l.maxDepth {
-		l.maxDepth = l.inFlight
-	}
-	l.inFlightBytes += wireBytes
-	deliver = sent.Add(l.latency)
-	if l.e.Observing() {
-		// The xmit span covers this packet's own serialization window plus
-		// its flight: start when its bytes begin occupying the link (which
-		// may be in the future under cut-through or behind queued packets),
-		// end at delivery.
-		start := serDone.Add(-sim.BytesAt(wireBytes, l.srv.Rate()))
-		if now := l.e.Now(); start < now {
-			start = now
-		}
-		id := l.e.SpanOpenAt(start, l.Name(), "xmit",
-			sim.Attr{Key: "bytes", Val: int64(wireBytes)})
-		l.e.SpanCloseAt(id, deliver)
-		l.e.Metric(l.Name(), "depth", float64(l.inFlight))
-		l.e.Metric(l.Name(), "inflight_bytes", float64(l.inFlightBytes))
-		l.e.Metric(l.Name(), "busy_us", l.srv.BusyTotal().Microseconds())
+	if corrupt && l.corrupter != nil {
+		pkt = l.corrupter(pkt)
 	}
 	l.e.At(deliver, func() {
-		l.inFlight--
-		l.inFlightBytes -= wireBytes
-		if l.e.Observing() {
-			l.e.Metric(l.Name(), "depth", float64(l.inFlight))
-			l.e.Metric(l.Name(), "inflight_bytes", float64(l.inFlightBytes))
-		}
+		l.Arrive(wireBytes)
 		l.inbox.Send(pkt)
 	})
 	return deliver, true
-}
-
-// Send transmits pkt occupying wireBytes of link time; delivery into the
-// receiver inbox happens after serialization plus latency. The sender does
-// not block (NIC egress queues are unbounded unless SetDepthCap was
-// called). ok reports whether the packet was scheduled for delivery;
-// dropped packets (depth cap, fault injector) return ok=false, and the
-// returned time is then not a delivery time. Tail-dropped packets consume
-// no link serialization time; injector-dropped packets do (physical loss
-// in flight happens after the bytes crossed the transmitter — see the
-// package comment).
-func (l *Link[T]) Send(pkt T, wireBytes int) (deliver sim.Time, ok bool) {
-	if l.tailDrop(wireBytes) {
-		return l.e.Now(), false
-	}
-	return l.post(pkt, wireBytes, l.srv.Reserve(wireBytes))
-}
-
-// SendAfter transmits pkt like Send but delays delivery until at least
-// `ready` plus the link latency — used by cut-through senders whose
-// upstream stage (a DMA read) finishes at `ready` while the wire
-// serializes concurrently. Drop semantics match Send.
-func (l *Link[T]) SendAfter(pkt T, wireBytes int, ready sim.Time) (deliver sim.Time, ok bool) {
-	if l.tailDrop(wireBytes) {
-		return l.e.Now(), false
-	}
-	sent := l.srv.Reserve(wireBytes)
-	if ready > sent {
-		sent = ready
-	}
-	return l.post(pkt, wireBytes, sent)
 }
 
 // Recv blocks p until a packet arrives, FIFO.
@@ -224,6 +285,3 @@ func (l *Link[T]) Recv(p *sim.Proc) T { return l.inbox.Recv(p) }
 
 // Pending reports packets delivered but not yet consumed.
 func (l *Link[T]) Pending() int { return l.inbox.Len() }
-
-// Utilization returns accumulated serialization time.
-func (l *Link[T]) Utilization() sim.Duration { return l.srv.BusyTotal() }

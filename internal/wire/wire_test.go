@@ -96,6 +96,34 @@ func TestSendAfterDelaysDelivery(t *testing.T) {
 	}
 }
 
+// A later packet must not overtake an earlier one whose upstream stage is
+// still feeding the cable: a flag sent right after a bulk put whose DMA
+// finishes in the future would otherwise land before the data.
+func TestSendAfterThenSendKeepsInjectionOrder(t *testing.T) {
+	e := sim.NewEngine()
+	l := NewLink[int](e, 1e9, 100*sim.Nanosecond)
+	var got []int
+	var times []sim.Time
+	e.Spawn("rx", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			got = append(got, l.Recv(p))
+			times = append(times, p.Now())
+		}
+	})
+	e.At(0, func() {
+		l.SendAfter(1, 1000, sim.Time(5*sim.Microsecond)) // bulk: DMA ready at 5us
+		l.Send(2, 8)                                      // flag: serializes at once
+	})
+	e.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("delivery order %v, want [1 2] (injection order)", got)
+	}
+	want := sim.Time(5*sim.Microsecond + 100*sim.Nanosecond)
+	if times[0] != want || times[1] != want {
+		t.Fatalf("delivery times %v, want both at %v (the flag waits for the bulk)", times, want)
+	}
+}
+
 func TestSendAfterPastReadyUsesSerialization(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink[int](e, 1e9, 0)
