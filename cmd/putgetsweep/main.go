@@ -55,7 +55,7 @@ var knobs = []knob{
 		func(p *cluster.Params, v float64) { p.IBWireBW = v }},
 	{"host-mem-lat", "host memory latency [ns]",
 		func(p *cluster.Params, v float64) { p.HostMemLat = sim.Nanoseconds(v) }},
-	{"fault-drop", "wire loss probability (enables fault injection; rates near 1 kill the link and blocking benchmarks never finish)",
+	{"fault-drop", "wire loss probability (enables fault injection; rates near 1 kill the link and fail the row)",
 		func(p *cluster.Params, v float64) { p.FaultInject = true; p.FaultSeed = 42; p.FaultDropRate = v }},
 	{"fault-delay", "max extra wire delay [ns] (enables fault injection)",
 		func(p *cluster.Params, v float64) {

@@ -37,7 +37,7 @@ func IBSingleOpInstr(p cluster.Params) (post, poll uint64) {
 		}
 		poll = r.tb.A.GPU.Counters().InstrExecuted
 	})
-	r.tb.E.Run()
+	runTestbed(r.tb)
 	mustDone(done, "IB single-op measurement")
 	return post, poll
 }
@@ -63,7 +63,7 @@ func AblationEndianness(p cluster.Params) (withOpt, withoutOpt uint64) {
 			})
 			instr = r.tb.A.GPU.Counters().InstrExecuted
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, "endianness ablation")
 		return instr
 	}
@@ -98,7 +98,7 @@ func AblationCollectivePostExtoll(p cluster.Params) CollectiveCost {
 			c := r.tb.A.GPU.Counters()
 			instr, txns = c.InstrExecuted, c.SysmemWrites32B
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, "collective put ablation")
 		return instr, txns
 	}
@@ -136,7 +136,7 @@ func AblationCollectivePostIB(p cluster.Params) CollectiveCost {
 			c := r.tb.A.GPU.Counters()
 			instr, txns = c.InstrExecuted, c.SysmemWrites32B
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, "collective post ablation")
 		return instr, txns
 	}

@@ -108,7 +108,7 @@ func breakdownExtoll(cp cluster.Params, gpuDirect bool) breakdownResult {
 			doneB.Complete()
 		})
 	}
-	tb.E.Run()
+	runTestbed(tb)
 	mustDone(doneA, "breakdown extoll origin")
 	mustDone(doneB, "breakdown extoll destination")
 	return breakdownResult{Mode: mode, E2E: t1.Sub(t0), Stages: breakdownWindow(rec, t0, t1)}
@@ -173,7 +173,7 @@ func breakdownIB(cp cluster.Params, gpuDirect bool) breakdownResult {
 		})
 	}
 	_ = qb
-	tb.E.Run()
+	runTestbed(tb)
 	mustDone(doneA, "breakdown ib origin")
 	mustDone(doneB, "breakdown ib destination")
 	return breakdownResult{Mode: mode, E2E: t1.Sub(t0), Stages: breakdownWindow(rec, t0, t1)}

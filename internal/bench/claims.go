@@ -87,7 +87,7 @@ func measureImmPutGain(p cluster.Params) float64 {
 			r.ra.DevWaitNotif(w, 0, extoll.ClassRequester)
 			done = float64(w.Now())
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(d, "imm put measurement")
 		return done
 	}

@@ -12,17 +12,14 @@ import (
 	"putget/internal/faults"
 	"putget/internal/runner"
 	"putget/internal/sim"
+	"putget/internal/wire"
 )
 
 // RelCounters aggregates reliability-protocol and injector activity over
 // one measurement, summed across both NICs and both wire directions.
 type RelCounters struct {
-	Retransmits    uint64
-	AcksSent       uint64
-	NaksSent       uint64
-	Timeouts       uint64 // retransmission-timer expiries
+	wire.RelStats         // go-back-N activity; IB's NaksSent includes RNR NAKs
 	ReqTimeouts    uint64 // EXTOLL requester ops that timed out
-	DupRx          uint64
 	IcrcDrops      uint64
 	RetryExhausted uint64 // IB QPs driven to ERR
 	LinkDowns      uint64 // EXTOLL links declared dead
@@ -31,10 +28,10 @@ type RelCounters struct {
 	WireDelays     uint64
 }
 
-// collectRel sums the testbed's injector verdicts; the per-fabric NIC
-// counters are added by the callers below. Nil when faults are off, so
-// default-path results are unchanged.
-func collectRel(tb *cluster.Testbed) *RelCounters {
+// relCounters snapshots both nodes' reliability-protocol counters plus
+// the wire verdicts. Nil when faults are off, so default-path results are
+// unchanged.
+func relCounters(tb *cluster.Testbed) *RelCounters {
 	if tb.FaultsAB == nil {
 		return nil
 	}
@@ -45,44 +42,20 @@ func collectRel(tb *cluster.Testbed) *RelCounters {
 		rc.WireCorrupts += st.Corrupted
 		rc.WireDelays += st.Delayed
 	}
-	return rc
-}
-
-// extollRel snapshots both NICs' reliability counters plus wire verdicts.
-func extollRel(tb *cluster.Testbed) *RelCounters {
-	rc := collectRel(tb)
-	if rc == nil {
-		return nil
-	}
 	for _, n := range []*cluster.Node{tb.A, tb.B} {
-		st := n.Extoll.Stats()
-		rc.Retransmits += st.Retransmits
-		rc.AcksSent += st.AcksSent
-		rc.NaksSent += st.NaksSent
-		rc.Timeouts += st.Timeouts
-		rc.ReqTimeouts += st.ReqTimeouts
-		rc.DupRx += st.DupRx
-		rc.IcrcDrops += st.IcrcDrops
-		rc.LinkDowns += st.LinkDowns
-	}
-	return rc
-}
-
-// ibRel snapshots both HCAs' reliability counters plus wire verdicts.
-func ibRel(tb *cluster.Testbed) *RelCounters {
-	rc := collectRel(tb)
-	if rc == nil {
-		return nil
-	}
-	for _, n := range []*cluster.Node{tb.A, tb.B} {
-		st := n.IB.Stats()
-		rc.Retransmits += st.Retransmits
-		rc.AcksSent += st.AcksSent
-		rc.NaksSent += st.NaksSent + st.RnrNaksSent
-		rc.Timeouts += st.Timeouts
-		rc.DupRx += st.DupRx
-		rc.IcrcDrops += st.IcrcDrops
-		rc.RetryExhausted += st.RetryExhausted
+		if n.Extoll != nil {
+			st := n.Extoll.Stats()
+			rc.RelStats.Add(st.RelStats)
+			rc.ReqTimeouts += st.ReqTimeouts
+			rc.IcrcDrops += st.IcrcDrops
+			rc.LinkDowns += st.LinkDowns
+		} else {
+			st := n.IB.Stats()
+			rc.RelStats.Add(st.RelStats)
+			rc.NaksSent += st.RnrNaksSent
+			rc.IcrcDrops += st.IcrcDrops
+			rc.RetryExhausted += st.RetryExhausted
+		}
 	}
 	return rc
 }
@@ -156,11 +129,8 @@ func FaultSweep(p cluster.Params, seed uint64) string {
 			*rc = *lat.Rel
 		}
 		if bw.Rel != nil {
-			rc.Retransmits += bw.Rel.Retransmits
-			rc.Timeouts += bw.Rel.Timeouts
-			rc.NaksSent += bw.Rel.NaksSent
+			rc.RelStats.Add(bw.Rel.RelStats)
 			rc.IcrcDrops += bw.Rel.IcrcDrops
-			rc.DupRx += bw.Rel.DupRx
 			rc.WireDrops += bw.Rel.WireDrops
 		}
 		fmt.Fprintf(&b, "%-8.2f %12.3f %14.1f %6d %6d %6d %6d %6d %6d\n",
@@ -253,7 +223,7 @@ func extollBlackoutRun(p cluster.Params, size, iters int) []sim.Time {
 		}
 		doneB.Complete()
 	})
-	r.tb.E.Run()
+	runTestbed(r.tb)
 	mustDone(doneA, "extoll blackout ping-pong A")
 	mustDone(doneB, "extoll blackout ping-pong B")
 	return completions

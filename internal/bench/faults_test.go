@@ -2,7 +2,9 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"putget/internal/cluster"
 	"putget/internal/core"
@@ -209,5 +211,43 @@ func TestFaultBlackoutRecovery(t *testing.T) {
 	}
 	if rec := after.Sub(fp.FaultBlackoutEnd); rec > 100*sim.Microsecond {
 		t.Fatalf("recovery latency %v; want under two retransmission rounds", rec)
+	}
+}
+
+// TestFaultDeadLinkFailsCell runs the putgetsweep lat1k cell at 99% loss:
+// the EXTOLL link dies, so the GPU ping-pong can never finish. The bounded
+// fault run must fail it with mustDone's deadlock panic instead of
+// polling for the pong forever.
+func TestFaultDeadLinkFailsCell(t *testing.T) {
+	p := cluster.Default()
+	p.FaultInject, p.FaultSeed, p.FaultDropRate = true, 42, 0.99
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		ExtollPingPong(p, ExtDirect, 1024, 10, 2)
+	}()
+	select {
+	case v := <-got:
+		if msg, _ := v.(string); !strings.Contains(msg, "bench: deadlock") {
+			t.Fatalf("dead-link ping-pong ended with %v, want a deadlock panic", v)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("dead-link ping-pong still running after 60 s of wall time")
+	}
+}
+
+// TestFaultLongLossyRunCompletes runs a lossy ping-pong whose link stays
+// up for more than one faultHorizon of virtual time: runTestbed must keep
+// going while the link is alive, so every iteration completes.
+func TestFaultLongLossyRunCompletes(t *testing.T) {
+	p := cluster.Default()
+	p.FaultInject, p.FaultSeed, p.FaultDropRate = true, 42, 0.05
+	const iters = 5000
+	r := ExtollPingPong(p, ExtDirect, 1024, iters, 2)
+	if r.Rel.LinkDowns != 0 || r.Rel.Retransmits == 0 {
+		t.Fatalf("link downs %d, retransmits %d; want a live link that retransmitted", r.Rel.LinkDowns, r.Rel.Retransmits)
+	}
+	if run := r.HalfRTT * 2 * iters; run <= faultHorizon {
+		t.Fatalf("run took %v of virtual time; want more than faultHorizon (%v)", run, faultHorizon)
 	}
 }

@@ -110,7 +110,7 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 				}
 			}
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(doneA, fmt.Sprintf("%s ping-pong kernel A", kind))
 		mustDone(doneB, fmt.Sprintf("%s ping-pong kernel B", kind))
 
@@ -147,7 +147,7 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 				epB.DevWaitComplete(w, transport.CompLocal)
 			}
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(doneA, fmt.Sprintf("%s ping-pong kernel A", kind))
 		mustDone(doneB, fmt.Sprintf("%s ping-pong kernel B", kind))
 
@@ -194,7 +194,7 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 				epB.HostWaitComplete(p, transport.CompLocal)
 			}
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(doneA, fmt.Sprintf("%s assisted kernel A", kind))
 		mustDone(doneB, fmt.Sprintf("%s assisted kernel B", kind))
 
@@ -245,7 +245,7 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 			}
 			doneB.Complete()
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(doneA, fmt.Sprintf("%s host-controlled A", kind))
 		mustDone(doneB, fmt.Sprintf("%s host-controlled B", kind))
 
@@ -271,7 +271,7 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 		PollTime: pollSum / sim.Duration(iters),
 		Counters: r.tb.A.GPU.Counters(),
 		Events:   r.tb.E.Executed(),
-		Rel:      r.relCounters(),
+		Rel:      relCounters(r.tb),
 	}
 }
 
@@ -420,7 +420,7 @@ func Stream(p cluster.Params, kind transport.Kind, mode ControlMode, size, messa
 		})
 	}
 
-	r.tb.E.Run()
+	runTestbed(r.tb)
 	mustDone(endSeen, fmt.Sprintf("%s stream end detection", kind))
 	elapsed := tEnd.Sub(tStart)
 
@@ -442,7 +442,7 @@ func Stream(p cluster.Params, kind transport.Kind, mode ControlMode, size, messa
 		Elapsed:     elapsed,
 		BytesPerSec: float64(size) * float64(messages) / elapsed.Seconds(),
 		Events:      r.tb.E.Executed(),
-		Rel:         r.relCounters(),
+		Rel:         relCounters(r.tb),
 	}
 }
 
@@ -486,7 +486,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 		done := r.tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: pairs}, func(w *gpusim.Warp) {
 			gpuBody(w, w.Block)
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, fmt.Sprintf("%s message-rate blocks kernel", kind))
 	case RateKernels:
 		dones := make([]*sim.Completion, pairs)
@@ -497,7 +497,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 				gpuBody(w, b)
 			})
 		}
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		for b, d := range dones {
 			mustDone(d, fmt.Sprintf("%s message-rate kernel %d", kind, b))
 		}
@@ -544,7 +544,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 			}
 			cpuDone.Complete()
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, fmt.Sprintf("%s assisted rate kernel", kind))
 		mustDone(cpuDone, fmt.Sprintf("%s assisted rate CPU", kind))
 	case RateHostControlled:
@@ -571,7 +571,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 			ends[0] = p.Now()
 			done.Complete()
 		})
-		r.tb.E.Run()
+		runTestbed(r.tb)
 		mustDone(done, fmt.Sprintf("%s host-controlled rate CPU", kind))
 		for b := 1; b < pairs; b++ {
 			starts[b], ends[b] = starts[0], ends[0]

@@ -40,7 +40,7 @@ func MsgPingPong(p cluster.Params, size, iters, warmup int) LatencyResult {
 			eb.DevSend(w, 2, bsrc, size)
 		}
 	})
-	tb.E.Run()
+	runTestbed(tb)
 	if !da.Done() || !db.Done() {
 		panic("bench: msg ping-pong deadlocked")
 	}

@@ -60,7 +60,7 @@ func StagedStream(p cluster.Params, size, messages int) BandwidthResult {
 		}
 		doneB.Complete()
 	})
-	r.tb.E.Run()
+	runTestbed(r.tb)
 	mustDone(doneA, "staged stream A")
 	mustDone(doneB, "staged stream B")
 
@@ -111,7 +111,7 @@ func StagedPingPong(p cluster.Params, size, iters, warmup int) LatencyResult {
 		}
 		doneB.Complete()
 	})
-	r.tb.E.Run()
+	runTestbed(r.tb)
 	mustDone(doneA, "staged ping-pong A")
 	mustDone(doneB, "staged ping-pong B")
 

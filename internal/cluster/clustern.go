@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 
 	"putget/internal/extoll"
@@ -153,7 +152,7 @@ func (c *Cluster) Node(i int) *Node {
 	case FabricExtoll:
 		var rel *extoll.RelConfig
 		if p.FaultInject {
-			rel = cmp.Or(p.ExtRel, extoll.DefaultRelConfig())
+			rel = extoll.DefaultRelConfig()
 		}
 		nd.Extoll = extoll.New(c.E, nd.Fabric, extoll.Config{
 			Name:          nd.Name + ".rma",
@@ -178,7 +177,7 @@ func (c *Cluster) Node(i int) *Node {
 	case FabricIB:
 		var rel *ibsim.RelConfig
 		if p.FaultInject {
-			rel = cmp.Or(p.IBRel, ibsim.DefaultRelConfig())
+			rel = ibsim.DefaultRelConfig()
 		}
 		nd.IB = ibsim.New(c.E, nd.Fabric, ibsim.Config{
 			Name:          nd.Name + ".hca",

@@ -4,8 +4,6 @@
 package cluster
 
 import (
-	"putget/internal/extoll"
-	"putget/internal/ibsim"
 	"putget/internal/memspace"
 	"putget/internal/sim"
 )
@@ -125,10 +123,6 @@ type Params struct {
 	// WireDepthCap bounds each wire direction's egress queue (tail-drop
 	// beyond it); 0 keeps the unbounded seed behaviour.
 	WireDepthCap int
-	// ExtRel / IBRel override the reliability tunables; nil picks the
-	// package defaults when FaultInject is set.
-	ExtRel *extoll.RelConfig
-	IBRel  *ibsim.RelConfig
 
 	// ---- harness ----
 	// Parallel is the experiment-harness worker count: sweeps shard their

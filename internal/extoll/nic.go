@@ -71,14 +71,8 @@ type Stats struct {
 	NotificationOverflows uint64
 
 	// Link-reliability counters (all zero when Config.Rel == nil).
-	Retransmits uint64 // data packets sent again (NAK or timer)
-	AcksSent    uint64
-	AcksRx      uint64
-	NaksSent    uint64
-	NaksRx      uint64
-	Timeouts    uint64 // link retransmission-timer expiries
+	wire.RelStats
 	ReqTimeouts uint64 // requester ops that gave up waiting for a response
-	DupRx       uint64 // duplicate packets (already-delivered Seq)
 	IcrcDrops   uint64 // packets discarded for a bad CRC
 	LinkDowns   uint64 // links declared dead after retry exhaustion
 }
@@ -159,7 +153,7 @@ func New(e *sim.Engine, f *pcie.Fabric, cfg Config) *NIC {
 	n.rxSlots = sim.NewResource(e, cfg.DMAContexts)
 	n.datapath = sim.NewServer(e, cfg.ClockHz*float64(cfg.DatapathBytes))
 	if cfg.Rel != nil {
-		n.rel = newLinkRel(e)
+		n.rel = newLinkRel(n)
 	}
 	e.Spawn(cfg.Name+".requester", n.requesterLoop)
 	return n
@@ -213,7 +207,7 @@ func (n *NIC) AttachWire(tx, rx wire.Conduit[Packet]) {
 		}
 	})
 	if n.rel != nil {
-		n.e.Spawn(n.cfg.Name+".retx", n.retxTimer)
+		n.e.Spawn(n.cfg.Name+".retx", n.rel.Run)
 		n.e.Spawn(n.cfg.Name+".watchdog", n.respWatchdog)
 	}
 }
@@ -498,15 +492,14 @@ func (n *NIC) sendPut(p *sim.Proc, wr WR, peer int) {
 	} else {
 		// Store-and-forward under reliability: the packet is sequenced and
 		// buffered for go-back-N replay only once its payload is in hand.
-		p.SleepUntil(ready)
+		p.SleepUntil(n.inOrder(ready))
 		n.xmit(pkt, wr.Size+PktHeader)
 	}
 	n.stats.PutsSent++
 }
 
 func (n *NIC) sendGetReq(p *sim.Proc, wr WR, peer int) {
-	done := n.datapath.Reserve(PktHeader)
-	p.SleepUntil(done)
+	p.SleepUntil(n.inOrder(n.datapath.Reserve(PktHeader)))
 	n.xmit(Packet{
 		Kind: CmdGet, DstPort: peer, OriginPort: wr.Port,
 		Flags: wr.Flags, Size: wr.Size, SrcNLA: NLA(wr.SrcNLA), DstNLA: NLA(wr.DstNLA),
@@ -521,7 +514,7 @@ func (n *NIC) sendImmPut(p *sim.Proc, wr WR, peer int) {
 	for i := 0; i < wr.Size; i++ {
 		data[i] = byte(wr.SrcNLA >> (8 * uint(i)))
 	}
-	p.SleepUntil(n.datapath.Reserve(wr.Size + PktHeader))
+	p.SleepUntil(n.inOrder(n.datapath.Reserve(wr.Size + PktHeader)))
 	n.xmit(Packet{
 		Kind: CmdPut, DstPort: peer, OriginPort: wr.Port,
 		Flags: wr.Flags, Size: wr.Size, DstNLA: NLA(wr.DstNLA), Data: data,
@@ -532,7 +525,7 @@ func (n *NIC) sendImmPut(p *sim.Proc, wr WR, peer int) {
 // sendAtomic transmits a fetch-and-add request; the operand travels in
 // the WR's source-NLA word.
 func (n *NIC) sendAtomic(p *sim.Proc, wr WR, peer int) {
-	p.SleepUntil(n.datapath.Reserve(PktHeader))
+	p.SleepUntil(n.inOrder(n.datapath.Reserve(PktHeader)))
 	n.xmit(Packet{
 		Kind: pktAtomic, DstPort: peer, OriginPort: wr.Port,
 		Flags: wr.Flags, Size: 8, SrcNLA: NLA(wr.SrcNLA), DstNLA: NLA(wr.DstNLA),

@@ -1,23 +1,17 @@
 package extoll
 
-import "putget/internal/sim"
+import (
+	"putget/internal/sim"
+	"putget/internal/wire"
+)
 
-// RelConfig tunes the link-level retransmission protocol and the
-// requester's response watchdog. APEnet+ dedicates FPGA logic to exactly
-// this kind of link-level go-back-N; EXTOLL's own link layer is likewise
-// retransmitting.
+// RelConfig tunes the link-level go-back-N protocol and the requester's
+// response watchdog. APEnet+ dedicates FPGA logic to exactly this kind of
+// link-level go-back-N; EXTOLL's own link layer is likewise
+// retransmitting. When the link runs out of retries it is declared dead
+// and outstanding requester ops error out.
 type RelConfig struct {
-	// AckEvery acks every Nth in-order data packet immediately; smaller
-	// values cost ack bandwidth, larger ones lean on AckDelay.
-	AckEvery int
-	// AckDelay bounds how long a received packet may wait for a coalesced
-	// link ACK.
-	AckDelay sim.Duration
-	// RetxTimeout is the sender's link retransmission timer.
-	RetxTimeout sim.Duration
-	// MaxRetries bounds link retries (timeouts + NAKs) before the link is
-	// declared dead and outstanding requester ops error out.
-	MaxRetries int
+	wire.RelConfig
 	// ReqTimeout is the requester watchdog: a get/atomic whose response
 	// notification has not arrived by then completes with a timeout-error
 	// notification instead.
@@ -27,18 +21,14 @@ type RelConfig struct {
 // DefaultRelConfig returns link-protocol tunables in FPGA-NIC territory.
 func DefaultRelConfig() *RelConfig {
 	return &RelConfig{
-		AckEvery:    4,
-		AckDelay:    3 * sim.Microsecond,
-		RetxTimeout: 15 * sim.Microsecond,
-		MaxRetries:  7,
-		ReqTimeout:  200 * sim.Microsecond,
+		RelConfig: wire.RelConfig{
+			AckEvery:    4,
+			AckDelay:    3 * sim.Microsecond,
+			RetxTimeout: 15 * sim.Microsecond,
+			MaxRetries:  7,
+		},
+		ReqTimeout: 200 * sim.Microsecond,
 	}
-}
-
-// relEntry is one transmitted-but-unacknowledged data packet.
-type relEntry struct {
-	pkt   Packet
-	bytes int
 }
 
 // pendingResp tracks one requester op (get / fetch-add) that owes this
@@ -52,22 +42,12 @@ type pendingResp struct {
 	timedOut bool
 }
 
-// linkRel is a NIC's link-reliability and watchdog state.
+// linkRel is a NIC's link-reliability and watchdog state: the link's
+// go-back-N sequence space plus what EXTOLL adds to it.
 type linkRel struct {
-	// Transmit side.
-	txSeq      uint32
-	unacked    []relEntry
-	retryCount int
-	armed      bool
-	deadline   sim.Time
-	kick       *sim.Signal
-	dead       bool
-
-	// Receive side.
-	rxSeq      uint32
-	nakSent    bool // one NAK per expected-Seq value
-	ackPending int
-	ackGen     int
+	wire.GoBackN[Packet]
+	dead    bool     // retries exhausted: the link transmits nothing any more
+	lastReq sim.Time // transmit time of the latest request (see inOrder)
 
 	// Requester response watchdog: pending is the global FIFO (constant
 	// timeout, so append order is deadline order); portQ indexes the same
@@ -77,15 +57,28 @@ type linkRel struct {
 	respKick *sim.Signal
 }
 
-func newLinkRel(e *sim.Engine) *linkRel {
-	return &linkRel{
-		kick:     sim.NewSignal(e),
-		respKick: sim.NewSignal(e),
+func newLinkRel(n *NIC) *linkRel {
+	r := &linkRel{
+		respKick: sim.NewSignal(n.e),
 		portQ:    map[int][]*pendingResp{},
 	}
+	r.GoBackN = wire.NewGoBackN(n.e, &n.cfg.Rel.RelConfig, &n.stats.RelStats, wire.Owner[Packet]{
+		Send:  func(pkt Packet, wb int) { n.tx.Send(pkt, wb) },
+		Stamp: func(pkt Packet, seq uint32) Packet { pkt.Seq = seq; return pkt },
+		Control: func(nak bool, seq uint32) Packet {
+			if nak {
+				return Packet{Kind: pktLinkNak, Seq: seq}
+			}
+			return Packet{Kind: pktLinkAck, Seq: seq}
+		},
+		CtlBytes:  PktHeader,
+		Exhausted: n.linkDead,
+		Comp:      n.cfg.Name,
+		Label:     n.cfg.Name + " link",
+		SeqName:   "seq",
+	})
+	return r
 }
-
-// ---- transmit side ----
 
 // xmit sequences and transmits one data packet under the reliability
 // protocol, or falls straight through to the wire without it.
@@ -100,73 +93,21 @@ func (n *NIC) xmit(pkt Packet, wb int) {
 		// the watchdog.
 		return
 	}
-	pkt.Seq = r.txSeq
-	r.txSeq++
-	r.unacked = append(r.unacked, relEntry{pkt: pkt, bytes: wb})
-	if !r.armed {
-		n.armTimer()
-	}
-	n.tx.Send(pkt, wb)
+	r.Send(pkt, wb, 0)
 }
 
-func (n *NIC) armTimer() {
-	r := n.rel
-	if len(r.unacked) == 0 {
-		r.armed = false
-		return
+// inOrder returns when a request that is ready at t may be transmitted:
+// under reliability, no earlier than the request decoded before it.
+// Requests are sequenced at transmit time and a store-and-forward put
+// waits for its payload, so without this floor a later WR (the flag
+// behind the data) would overtake it. Without reliability the cable
+// keeps injection order and t is returned as is.
+func (n *NIC) inOrder(t sim.Time) sim.Time {
+	if r := n.rel; r != nil {
+		t = max(t, r.lastReq)
+		r.lastReq = t
 	}
-	r.armed = true
-	r.deadline = n.e.Now().Add(n.cfg.Rel.RetxTimeout)
-	r.kick.Broadcast()
-}
-
-// retxTimer is the link retransmission timer process.
-func (n *NIC) retxTimer(p *sim.Proc) {
-	r := n.rel
-	for {
-		for !r.armed {
-			r.kick.Wait(p)
-		}
-		if now := p.Now(); now < r.deadline {
-			p.SleepUntil(r.deadline)
-			continue // deadline may have moved while sleeping
-		}
-		n.onRetxTimeout()
-	}
-}
-
-func (n *NIC) onRetxTimeout() {
-	r := n.rel
-	if r.dead || len(r.unacked) == 0 {
-		r.armed = false
-		return
-	}
-	n.stats.Timeouts++
-	r.retryCount++
-	if n.e.Traced() {
-		n.e.Tracev(n.cfg.Name, "retry", "retry: %s link timeout #%d, resend from seq %d", n.cfg.Name, r.retryCount, r.unacked[0].pkt.Seq)
-	}
-	if r.retryCount > n.cfg.Rel.MaxRetries {
-		n.linkDead()
-		return
-	}
-	n.resendFrom(r.unacked[0].pkt.Seq)
-}
-
-// resendFrom retransmits every unacked packet with Seq >= seq (go-back-N)
-// and restarts the timer.
-func (n *NIC) resendFrom(seq uint32) {
-	r := n.rel
-	for _, en := range r.unacked {
-		if en.pkt.Seq < seq {
-			continue
-		}
-		n.stats.Retransmits++
-		n.tx.Send(en.pkt, en.bytes)
-	}
-	r.armed = true
-	r.deadline = n.e.Now().Add(n.cfg.Rel.RetxTimeout)
-	r.kick.Broadcast()
+	return t
 }
 
 // linkDead gives up on the cable: nothing retransmits any more and every
@@ -174,11 +115,10 @@ func (n *NIC) resendFrom(seq uint32) {
 func (n *NIC) linkDead() {
 	r := n.rel
 	r.dead = true
-	r.armed = false
-	r.unacked = nil
+	r.Drain()
 	n.stats.LinkDowns++
 	if n.e.Traced() {
-		n.e.Tracev(n.cfg.Name, "fault", "fault: %s link declared dead after %d retries", n.cfg.Name, r.retryCount)
+		n.e.Tracev(n.cfg.Name, "fault", "fault: %s link declared dead after %d retries", n.cfg.Name, n.cfg.Rel.MaxRetries+1)
 	}
 	for _, pr := range r.pending {
 		if pr.settled || pr.timedOut {
@@ -192,8 +132,6 @@ func (n *NIC) linkDead() {
 	r.respKick.Broadcast()
 }
 
-// ---- receive side ----
-
 // linkAdmit runs the link-layer checks on one received packet and reports
 // whether it should be dispatched.
 func (n *NIC) linkAdmit(pkt Packet) bool {
@@ -204,94 +142,23 @@ func (n *NIC) linkAdmit(pkt Packet) bool {
 	}
 	switch pkt.Kind {
 	case pktLinkAck:
-		n.stats.AcksRx++
-		n.ackUpTo(pkt.Seq)
+		r.RecvAck(pkt.Seq)
 		return false
 	case pktLinkNak:
-		n.handleLinkNak(pkt)
+		r.RecvNak(pkt.Seq)
 		return false
 	}
-	if pkt.Seq != r.rxSeq {
-		if pkt.Seq < r.rxSeq {
-			// Already delivered (lost ACK or go-back-N replay): never
-			// re-execute — completions and notifications are not
-			// idempotent — just re-ack.
-			n.stats.DupRx++
-			n.sendLinkAck()
-		} else if !r.nakSent {
-			r.nakSent = true
-			n.stats.NaksSent++
-			if n.e.Traced() {
-				n.e.Tracev(n.cfg.Name, "retry", "retry: %s link gap (got seq %d, want %d), NAK", n.cfg.Name, pkt.Seq, r.rxSeq)
-			}
-			n.tx.Send(Packet{Kind: pktLinkNak, Seq: r.rxSeq}, PktHeader)
-		}
+	switch r.Admit(pkt.Seq) {
+	case wire.Duplicate:
+		// Completions and notifications are not idempotent: never
+		// re-execute, just re-ack.
+		r.Ack()
+		return false
+	case wire.Gap:
 		return false
 	}
-	r.rxSeq++
-	r.nakSent = false
-	n.noteLinkAck()
+	r.Accept(false)
 	return true
-}
-
-// ackUpTo releases every unacked packet with Seq < seq.
-func (n *NIC) ackUpTo(seq uint32) {
-	r := n.rel
-	cnt := 0
-	for _, en := range r.unacked {
-		if en.pkt.Seq >= seq {
-			break
-		}
-		cnt++
-	}
-	if cnt == 0 {
-		return
-	}
-	r.unacked = r.unacked[cnt:]
-	r.retryCount = 0
-	n.armTimer()
-}
-
-func (n *NIC) handleLinkNak(pkt Packet) {
-	r := n.rel
-	n.stats.NaksRx++
-	n.ackUpTo(pkt.Seq)
-	if r.dead || len(r.unacked) == 0 {
-		return
-	}
-	r.retryCount++
-	if r.retryCount > n.cfg.Rel.MaxRetries {
-		n.linkDead()
-		return
-	}
-	n.resendFrom(pkt.Seq)
-}
-
-// noteLinkAck implements ACK coalescing: every AckEvery-th in-order
-// packet acks immediately, stragglers after at most AckDelay.
-func (n *NIC) noteLinkAck() {
-	r := n.rel
-	r.ackPending++
-	if r.ackPending >= n.cfg.Rel.AckEvery {
-		n.sendLinkAck()
-		return
-	}
-	gen := r.ackGen
-	n.e.After(n.cfg.Rel.AckDelay, func() {
-		if r.ackGen == gen && r.ackPending > 0 {
-			n.sendLinkAck()
-		}
-	})
-}
-
-// sendLinkAck emits a cumulative link ACK for everything below the
-// expected Seq.
-func (n *NIC) sendLinkAck() {
-	r := n.rel
-	r.ackPending = 0
-	r.ackGen++
-	n.stats.AcksSent++
-	n.tx.Send(Packet{Kind: pktLinkAck, Seq: r.rxSeq}, PktHeader)
 }
 
 // ---- requester response watchdog ----

@@ -48,15 +48,9 @@ type Stats struct {
 	DroppedOnErrQP uint64 // packets dropped because the QP was in ERR
 
 	// Reliability-protocol counters (all zero when Config.Rel == nil).
-	Retransmits    uint64 // data packets sent again (NAK or timeout)
-	AcksSent       uint64
-	AcksRx         uint64
-	NaksSent       uint64 // sequence-error NAKs
-	NaksRx         uint64
+	wire.RelStats
 	RnrNaksSent    uint64
 	RnrNaksRx      uint64
-	Timeouts       uint64 // retransmission-timer expiries
-	DupRx          uint64 // duplicate packets (already-delivered PSN)
 	IcrcDrops      uint64 // packets discarded for a bad invariant CRC
 	RetryExhausted uint64 // QPs driven to ERR by retry/RNR exhaustion
 }
@@ -347,7 +341,7 @@ func (h *HCA) CreateQP(sq memspace.Addr, sqEntries int, rq memspace.Addr, rqEntr
 		doorbell: sim.NewSignal(h.e),
 	}
 	if h.cfg.Rel != nil {
-		qp.rel = newQPRel(h.e)
+		qp.rel = newQPRel(h, qp)
 	}
 	h.nextQPN++
 	h.qps[qp.QPN] = qp
@@ -388,13 +382,11 @@ func (q *QP) ModifyQP(next QPState) error {
 func (q *QP) flush() {
 	h := q.hca
 	if q.rel != nil {
-		for _, en := range q.rel.unacked {
+		for _, en := range q.rel.Window() {
 			h.stats.FlushedWQEs++
-			q.SendCQ.push(CQE{Opcode: en.pkt.Opcode, WRID: en.pkt.WRID, QPN: q.QPN, Status: StatusFlushErr})
+			q.SendCQ.push(CQE{Opcode: en.Pkt.Opcode, WRID: en.Pkt.WRID, QPN: q.QPN, Status: StatusFlushErr})
 		}
-		q.rel.unacked = nil
-		q.rel.armed = false
-		q.rel.kick.Broadcast()
+		q.rel.Drain()
 	}
 	start := q.sqHeadHW + q.fetching
 	for i := start; i < q.sqTailHW; i++ {
@@ -441,8 +433,7 @@ func ConnectQPs(a, b *QP) {
 	b.hca.e.Spawn(fmt.Sprintf("%s.qp%d.send", b.hca.cfg.Name, b.QPN), func(p *sim.Proc) { b.hca.sendEngine(p, b) })
 	for _, q := range []*QP{a, b} {
 		if q.rel != nil {
-			qp := q
-			qp.hca.e.Spawn(fmt.Sprintf("%s.qp%d.retx", qp.hca.cfg.Name, qp.QPN), func(p *sim.Proc) { qp.hca.retxTimer(p, qp) })
+			q.hca.e.Spawn(fmt.Sprintf("%s.qp%d.retx", q.hca.cfg.Name, q.QPN), q.rel.Run)
 		}
 	}
 }
@@ -622,17 +613,7 @@ func (h *HCA) execute(qp *QP, wqe WQE) {
 					sent.Complete()
 					return
 				}
-				pkt.PSN = qp.rel.nextPSN
-				qp.rel.nextPSN++
-				qp.rel.unacked = append(qp.rel.unacked, unackedEntry{
-					pkt: pkt, bytes: wb,
-					length:   wqe.Length,
-					signaled: wqe.Flags&FlagSignaled != 0,
-				})
-				if !qp.rel.armed {
-					h.armTimer(qp)
-				}
-				h.tx.Send(pkt, wb)
+				qp.rel.Send(pkt, wb, wqe.Length)
 			} else {
 				h.tx.Send(pkt, wb)
 			}
@@ -684,11 +665,10 @@ func (h *HCA) receive(p *sim.Proc, pkt Packet) {
 	if qp.rel != nil {
 		switch pkt.Opcode {
 		case opAck:
-			h.stats.AcksRx++
-			h.ackUpTo(qp, pkt.PSN)
+			qp.rel.RecvAck(pkt.PSN)
 			return
 		case opNak:
-			h.handleNak(qp, pkt)
+			qp.rel.RecvNak(pkt.PSN)
 			return
 		case opRnrNak:
 			h.handleRnrNak(qp, pkt)
@@ -794,7 +774,7 @@ func (h *HCA) serveAtomic(p *sim.Proc, qp *QP, pkt Packet) {
 // cumulative ACK under the reliability protocol.
 func (h *HCA) completeAtomicResp(p *sim.Proc, qp *QP, pkt Packet) {
 	if qp.rel != nil {
-		h.ackUpTo(qp, pkt.PSN+1)
+		qp.rel.Release(pkt.PSN + 1)
 	}
 	var land sim.SpanID
 	if h.e.Observing() {
@@ -816,7 +796,7 @@ func (h *HCA) completeReadResp(p *sim.Proc, qp *QP, pkt Packet) {
 		// The response acknowledges everything up to and including the
 		// request PSN; the read's own CQE is pushed below, so its unacked
 		// entry releases silently.
-		h.ackUpTo(qp, pkt.PSN+1)
+		qp.rel.Release(pkt.PSN + 1)
 	}
 	if len(pkt.Data) > 0 {
 		var land sim.SpanID

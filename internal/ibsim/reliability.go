@@ -1,25 +1,19 @@
 package ibsim
 
 import (
+	"fmt"
+
 	"putget/internal/sim"
+	"putget/internal/wire"
 )
 
 // RelConfig tunes the RC reliability protocol. All QPs of an HCA share
 // these settings (real HCAs configure them per QP at RTR/RTS; one knob set
-// is enough for the testbed).
+// is enough for the testbed). RetxTimeout is the Local ACK Timeout in
+// Verbs terms; past MaxRetries (the Verbs retry_cnt) the QP moves to ERR
+// with WcRetryExcErr.
 type RelConfig struct {
-	// AckCoalesce acks every Nth request packet immediately; smaller
-	// values cost ack bandwidth, larger ones lean on AckDelay.
-	AckCoalesce int
-	// AckDelay bounds how long a received packet may wait for a coalesced
-	// ACK.
-	AckDelay sim.Duration
-	// RetxTimeout is the requester's retransmission timer (Local ACK
-	// Timeout in Verbs terms).
-	RetxTimeout sim.Duration
-	// RetryCnt bounds transport retries (timeouts + sequence NAKs) before
-	// the QP moves to ERR with WcRetryExcErr.
-	RetryCnt int
+	wire.RelConfig
 	// RnrRetry bounds receiver-not-ready retries before WcRnrRetryExcErr.
 	RnrRetry int
 	// RnrBackoff is the first RNR retry delay; it doubles per consecutive
@@ -30,42 +24,25 @@ type RelConfig struct {
 // DefaultRelConfig returns protocol tunables in real-HCA territory.
 func DefaultRelConfig() *RelConfig {
 	return &RelConfig{
-		AckCoalesce: 4,
-		AckDelay:    3 * sim.Microsecond,
-		RetxTimeout: 20 * sim.Microsecond,
-		RetryCnt:    7,
-		RnrRetry:    7,
-		RnrBackoff:  5 * sim.Microsecond,
+		RelConfig: wire.RelConfig{
+			AckEvery:    4,
+			AckDelay:    3 * sim.Microsecond,
+			RetxTimeout: 20 * sim.Microsecond,
+			MaxRetries:  7,
+		},
+		RnrRetry:   7,
+		RnrBackoff: 5 * sim.Microsecond,
 	}
 }
 
-// unackedEntry is one transmitted-but-unacknowledged request packet. The
-// model maps one WQE to one packet (MTU segmentation is folded into wire
-// time), so the entry carries everything needed to retransmit and to
-// complete the WQE.
-type unackedEntry struct {
-	pkt      Packet
-	bytes    int // wire size for retransmission
-	length   int // WQE byte length for the CQE
-	signaled bool
-}
-
-// qpRel is the per-QP reliability state.
+// qpRel is the per-QP reliability state: the QP's go-back-N sequence
+// space (PSNs) plus what RC adds to it. The model maps one WQE to one
+// packet (MTU segmentation is folded into wire time), so an unacked
+// entry is the WQE's request packet, tagged with the WQE length for its
+// CQE.
 type qpRel struct {
-	// Requester side.
-	nextPSN    uint32
-	unacked    []unackedEntry
-	retryCount int
-	rnrCount   int
-	armed      bool
-	deadline   sim.Time
-	kick       *sim.Signal
-
-	// Responder side.
-	ePSN       uint32
-	nakSent    bool // one NAK per expected-PSN value
-	ackPending int
-	ackGen     int
+	wire.GoBackN[Packet]
+	rnrCount int // consecutive RNR NAKs; any ACKed progress resets it
 
 	// Atomic duplicate-replay cache: atomics are not idempotent, so a
 	// replayed request re-sends the cached response instead of re-executing
@@ -76,126 +53,51 @@ type qpRel struct {
 	atomicResp      Packet
 }
 
-func newQPRel(e *sim.Engine) *qpRel {
-	return &qpRel{kick: sim.NewSignal(e)}
+func newQPRel(h *HCA, qp *QP) *qpRel {
+	r := &qpRel{}
+	r.GoBackN = wire.NewGoBackN(h.e, &h.cfg.Rel.RelConfig, &h.stats.RelStats, wire.Owner[Packet]{
+		Send:  func(pkt Packet, wb int) { h.tx.Send(pkt, wb) },
+		Stamp: func(pkt Packet, psn uint32) Packet { pkt.PSN = psn; return pkt },
+		Control: func(nak bool, psn uint32) Packet {
+			op := opAck
+			if nak {
+				op = opNak
+			}
+			return Packet{Opcode: op, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN, PSN: psn}
+		},
+		CtlBytes:  PktHeader,
+		Exhausted: func() { h.fatalQP(qp, StatusRetryExc) },
+		Up:        func() bool { return qp.state == StateRTS },
+		Released: func(en wire.Entry[Packet]) {
+			// Signaled writes and sends complete into the send CQ; reads
+			// and atomics complete when their response data lands.
+			r.rnrCount = 0
+			if op := en.Pkt.Opcode; op != OpRDMARead && op != OpAtomicFAdd && en.Pkt.Flags&FlagSignaled != 0 {
+				qp.SendCQ.push(CQE{
+					Opcode: op, WRID: en.Pkt.WRID, ByteLen: en.Tag,
+					QPN: qp.QPN, Status: StatusOK,
+				})
+			}
+		},
+		Nacked: func(psn uint32) {
+			if h.e.Traced() {
+				h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d NAK, resend from psn %d", h.cfg.Name, qp.QPN, psn)
+			}
+		},
+		Comp:    h.cfg.Name,
+		Label:   fmt.Sprintf("%s qp%d", h.cfg.Name, qp.QPN),
+		SeqName: "psn",
+	})
+	return r
 }
 
 // ---- requester side ----
 
-// armTimer (re)starts the retransmission timer for the oldest unacked
-// packet, or disarms it when nothing is outstanding.
-func (h *HCA) armTimer(qp *QP) {
-	r := qp.rel
-	if len(r.unacked) == 0 {
-		r.armed = false
-		return
-	}
-	r.armed = true
-	r.deadline = h.e.Now().Add(h.cfg.Rel.RetxTimeout)
-	r.kick.Broadcast()
-}
-
-// retxTimer is the per-QP retransmission timer process: parked while
-// nothing is outstanding, sleeping toward the deadline otherwise.
-func (h *HCA) retxTimer(p *sim.Proc, qp *QP) {
-	r := qp.rel
-	for {
-		for !r.armed {
-			r.kick.Wait(p)
-		}
-		if now := p.Now(); now < r.deadline {
-			p.SleepUntil(r.deadline)
-			continue // deadline may have moved while sleeping
-		}
-		h.onRetxTimeout(qp)
-	}
-}
-
-func (h *HCA) onRetxTimeout(qp *QP) {
-	r := qp.rel
-	if qp.state != StateRTS || len(r.unacked) == 0 {
-		r.armed = false
-		return
-	}
-	h.stats.Timeouts++
-	r.retryCount++
-	if h.e.Traced() {
-		h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d timeout #%d, resend from psn %d", h.cfg.Name, qp.QPN, r.retryCount, r.unacked[0].pkt.PSN)
-	}
-	if r.retryCount > h.cfg.Rel.RetryCnt {
-		h.fatalQP(qp, StatusRetryExc)
-		return
-	}
-	h.resendFrom(qp, r.unacked[0].pkt.PSN)
-}
-
-// resendFrom retransmits every unacked packet with PSN >= psn (go-back-N)
-// and restarts the timer.
-func (h *HCA) resendFrom(qp *QP, psn uint32) {
-	r := qp.rel
-	for _, en := range r.unacked {
-		if en.pkt.PSN < psn {
-			continue
-		}
-		h.stats.Retransmits++
-		h.tx.Send(en.pkt, en.bytes)
-	}
-	r.armed = true
-	r.deadline = h.e.Now().Add(h.cfg.Rel.RetxTimeout)
-	r.kick.Broadcast()
-}
-
-// ackUpTo releases every unacked packet with PSN < psn: signaled writes
-// and sends complete into the send CQ; reads and atomics complete
-// separately when their response data lands.
-func (h *HCA) ackUpTo(qp *QP, psn uint32) {
-	r := qp.rel
-	n := 0
-	for _, en := range r.unacked {
-		if en.pkt.PSN >= psn {
-			break
-		}
-		n++
-		if en.pkt.Opcode != OpRDMARead && en.pkt.Opcode != OpAtomicFAdd && en.signaled {
-			qp.SendCQ.push(CQE{
-				Opcode: en.pkt.Opcode, WRID: en.pkt.WRID, ByteLen: en.length,
-				QPN: qp.QPN, Status: StatusOK,
-			})
-		}
-	}
-	if n == 0 {
-		return
-	}
-	r.unacked = r.unacked[n:]
-	r.retryCount, r.rnrCount = 0, 0
-	h.armTimer(qp)
-}
-
-func (h *HCA) handleNak(qp *QP, pkt Packet) {
-	h.stats.NaksRx++
-	r := qp.rel
-	// A NAK for psn acknowledges everything before it, then asks for a
-	// resend from there; sequence errors count against the retry budget.
-	h.ackUpTo(qp, pkt.PSN)
-	if qp.state != StateRTS || len(r.unacked) == 0 {
-		return
-	}
-	r.retryCount++
-	if r.retryCount > h.cfg.Rel.RetryCnt {
-		h.fatalQP(qp, StatusRetryExc)
-		return
-	}
-	if h.e.Traced() {
-		h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d NAK, resend from psn %d", h.cfg.Name, qp.QPN, pkt.PSN)
-	}
-	h.resendFrom(qp, pkt.PSN)
-}
-
 func (h *HCA) handleRnrNak(qp *QP, pkt Packet) {
 	h.stats.RnrNaksRx++
 	r := qp.rel
-	h.ackUpTo(qp, pkt.PSN)
-	if qp.state != StateRTS || len(r.unacked) == 0 {
+	r.Release(pkt.PSN)
+	if qp.state != StateRTS || len(r.Window()) == 0 {
 		return
 	}
 	r.rnrCount++
@@ -208,12 +110,11 @@ func (h *HCA) handleRnrNak(qp *QP, pkt Packet) {
 		h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d RNR NAK #%d, backoff %v", h.cfg.Name, qp.QPN, r.rnrCount, backoff)
 	}
 	// Hold the timer past the backoff window, then resend.
-	r.deadline = h.e.Now().Add(backoff + h.cfg.Rel.RetxTimeout)
-	r.kick.Broadcast()
+	r.Postpone(backoff)
 	psn := pkt.PSN
 	h.e.After(backoff, func() {
-		if qp.state == StateRTS && len(r.unacked) > 0 {
-			h.resendFrom(qp, psn)
+		if qp.state == StateRTS && len(r.Window()) > 0 {
+			r.Resend(psn)
 		}
 	})
 }
@@ -221,16 +122,13 @@ func (h *HCA) handleRnrNak(qp *QP, pkt Packet) {
 // fatalQP gives up on the oldest unacked request: its CQE carries the
 // exhaustion status, the QP moves to ERR, and everything else flushes.
 func (h *HCA) fatalQP(qp *QP, status int) {
-	r := qp.rel
 	h.stats.RetryExhausted++
 	if h.e.Traced() {
 		h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d retries exhausted (status %d) -> ERR", h.cfg.Name, qp.QPN, status)
 	}
-	if len(r.unacked) > 0 {
-		en := r.unacked[0]
-		r.unacked = r.unacked[1:]
+	if en, ok := qp.rel.Shift(); ok {
 		qp.SendCQ.push(CQE{
-			Opcode: en.pkt.Opcode, WRID: en.pkt.WRID, ByteLen: en.length,
+			Opcode: en.Pkt.Opcode, WRID: en.Pkt.WRID, ByteLen: en.Tag,
 			QPN: qp.QPN, Status: status,
 		})
 	}
@@ -246,40 +144,22 @@ func (h *HCA) fatalQP(qp *QP, status int) {
 // NAKed, and not-ready receives are RNR-NAKed.
 func (h *HCA) responderAdmit(p *sim.Proc, qp *QP, pkt Packet) bool {
 	r := qp.rel
-	if pkt.PSN != r.ePSN {
-		if pkt.PSN < r.ePSN {
-			// Already delivered: a lost ACK or a go-back-N replay. Writes
-			// are idempotent but receives are not, so never re-execute;
-			// reads are re-served (the original response may be lost).
-			h.stats.DupRx++
-			if pkt.Opcode == OpRDMARead {
-				h.serveRead(p, qp, pkt)
-				return false
-			}
-			if pkt.Opcode == OpAtomicFAdd {
-				// Replay the cached response — re-executing would apply
-				// the add twice.
-				if r.atomicRespValid && r.atomicRespPSN == pkt.PSN {
-					h.tx.Send(r.atomicResp, h.wireBytes(8))
-				} else {
-					h.sendAck(qp)
-				}
-				return false
-			}
-			h.sendAck(qp)
-			return false
+	switch r.Admit(pkt.PSN) {
+	case wire.Duplicate:
+		// Writes are idempotent but receives are not, so never
+		// re-execute; reads are re-served (the original response may be
+		// lost), and an atomic replays its cached response — re-executing
+		// would apply the add twice.
+		switch {
+		case pkt.Opcode == OpRDMARead:
+			h.serveRead(p, qp, pkt)
+		case pkt.Opcode == OpAtomicFAdd && r.atomicRespValid && r.atomicRespPSN == pkt.PSN:
+			h.tx.Send(r.atomicResp, h.wireBytes(8))
+		default:
+			r.Ack()
 		}
-		// Gap: something before this packet was lost. NAK once per
-		// expected PSN so a burst of in-flight packets triggers a single
-		// resend.
-		if !r.nakSent {
-			r.nakSent = true
-			h.stats.NaksSent++
-			if h.e.Traced() {
-				h.e.Tracev(h.cfg.Name, "retry", "retry: %s qp%d gap (got psn %d, want %d), NAK", h.cfg.Name, qp.QPN, pkt.PSN, r.ePSN)
-			}
-			h.tx.Send(Packet{Opcode: opNak, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN, PSN: r.ePSN}, PktHeader)
-		}
+		return false
+	case wire.Gap:
 		return false
 	}
 	// In-order. Receiver-not-ready is detected before the PSN advances so
@@ -292,41 +172,7 @@ func (h *HCA) responderAdmit(p *sim.Proc, qp *QP, pkt Packet) bool {
 		h.tx.Send(Packet{Opcode: opRnrNak, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN, PSN: pkt.PSN}, PktHeader)
 		return false
 	}
-	r.ePSN++
-	r.nakSent = false
-	if pkt.Opcode == OpRDMARead || pkt.Opcode == OpAtomicFAdd {
-		// The read/atomic response doubles as a cumulative ACK; cancel any
-		// pending coalesced ACK.
-		r.ackPending = 0
-		r.ackGen++
-	} else {
-		h.noteAckNeeded(qp)
-	}
+	// The read/atomic response doubles as a cumulative ACK.
+	r.Accept(pkt.Opcode == OpRDMARead || pkt.Opcode == OpAtomicFAdd)
 	return true
-}
-
-// noteAckNeeded implements ACK coalescing: every AckCoalesce-th packet
-// acks immediately, stragglers after at most AckDelay.
-func (h *HCA) noteAckNeeded(qp *QP) {
-	r := qp.rel
-	r.ackPending++
-	if r.ackPending >= h.cfg.Rel.AckCoalesce {
-		h.sendAck(qp)
-		return
-	}
-	gen := r.ackGen
-	h.e.After(h.cfg.Rel.AckDelay, func() {
-		if r.ackGen == gen && r.ackPending > 0 {
-			h.sendAck(qp)
-		}
-	})
-}
-
-// sendAck emits a cumulative ACK for everything below the expected PSN.
-func (h *HCA) sendAck(qp *QP) {
-	r := qp.rel
-	r.ackPending = 0
-	r.ackGen++
-	h.stats.AcksSent++
-	h.tx.Send(Packet{Opcode: opAck, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN, PSN: r.ePSN}, PktHeader)
 }

@@ -267,3 +267,53 @@ func TestDirectAndSwitchedPairAgree(t *testing.T) {
 		}
 	})
 }
+
+// retransmits sums both nodes' go-back-N resends on cl's fabric.
+func retransmits(cl *cluster.Cluster) uint64 {
+	var n uint64
+	for i := 0; i < 2; i++ {
+		if nd := cl.Node(i); nd.Extoll != nil {
+			n += nd.Extoll.Stats().Retransmits
+		} else {
+			n += nd.IB.Stats().Retransmits
+		}
+	}
+	return n
+}
+
+// Both fabrics deliver exactly once and in order through the same
+// go-back-N core. Under loss and corruption the pair program must still
+// reach the fault-free data outcome on each fabric, and the same outcome
+// on both.
+func TestLossyPairAgreesAcrossFabrics(t *testing.T) {
+	lossy := cluster.Default()
+	lossy.FaultInject, lossy.FaultSeed = true, 3
+	lossy.FaultDropRate, lossy.FaultCorruptRate = 0.2, 0.05
+	var outs []pairOutcome
+	for _, k := range []Kind{KindExtoll, KindIB} {
+		fab := cluster.FabricExtoll
+		if k == KindIB {
+			fab = cluster.FabricIB
+		}
+		for _, p := range []cluster.Params{cluster.Default(), lossy} {
+			cl := cluster.NewClusterOn(fab, topo.Spec{Kind: topo.Direct}, 2, p)
+			outs = append(outs, pairProgram(t, k, cl))
+			if p.FaultInject && retransmits(cl) == 0 {
+				t.Fatalf("%v: the lossy run never retransmitted", k)
+			}
+			cl.Shutdown()
+		}
+	}
+	want := outs[0]
+	if want.old1 != 1000 || want.old2 != 1005 || !bytes.Equal(want.bufA[:bulkLen], want.bufB[:bulkLen]) {
+		t.Fatalf("fault-free EXTOLL run is wrong: fetch-adds %d, %d", want.old1, want.old2)
+	}
+	for i, got := range outs[1:] {
+		name := []string{"lossy EXTOLL", "fault-free IB", "lossy IB"}[i]
+		if got.flagSeenFirst != want.flagSeenFirst || got.flagSeenLast != want.flagSeenLast ||
+			got.old1 != want.old1 || got.old2 != want.old2 ||
+			!bytes.Equal(got.bufA, want.bufA) || !bytes.Equal(got.bufB, want.bufB) {
+			t.Fatalf("%s outcome differs from the fault-free EXTOLL run", name)
+		}
+	}
+}
