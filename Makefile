@@ -29,8 +29,8 @@ lint-json:
 check: build test lint
 	@echo "check: all gates green"
 
-# Wall-clock simulator perf: times the kvserve serving cell and the
-# message-rate sweep, writing BENCH_kvserve.json (events/sec, ns/op,
-# allocs/op) for commit-over-commit tracking.
+# Wall-clock simulator cost on the kvserve workload, the run CI's bench
+# job makes (perfbench/run.sh takes --workload pair-gpu, pair-host,
+# kvserve or allreduce; its build output stays under .bench_build/).
 bench:
-	$(GO) run ./cmd/putgetperf -o BENCH_kvserve.json
+	bash perfbench/run.sh --workload kvserve --seed 1 --seconds 20 --trace 0

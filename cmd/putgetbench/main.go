@@ -7,6 +7,8 @@
 //	putgetbench -experiment all -parallel 8   # shard cells over 8 workers
 //	putgetbench -experiment fig2 -asic        # projected EXTOLL ASIC
 //	putgetbench -experiment fig1b -no-collapse # disable the P2P anomaly
+//	putgetbench -experiment ablations         # the §VI ablation studies
+//	putgetbench -experiment kvserve -seed 7   # KV serving SLO table
 //
 // Experiments are sharded across a worker pool at two levels: each
 // requested experiment is one cell of the outer pool, and the sweeps
@@ -34,7 +36,7 @@ func main() {
 		asic       = flag.Bool("asic", false, "use the projected EXTOLL ASIC profile")
 		noCollapse = flag.Bool("no-collapse", false, "disable the PCIe P2P read collapse (ablation)")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-		seed       = flag.Uint64("seed", 0, "fault-injection master seed (faultsweep; 0 = default 42)")
+		seed       = flag.Uint64("seed", 0, "master seed for faultsweep and kvserve (fault streams, KV workload; 0 = default 42)")
 		parallel   = flag.Int("parallel", 0, "experiment-harness workers (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()

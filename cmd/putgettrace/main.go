@@ -6,7 +6,7 @@
 //	putgettrace -fabric ib      # InfiniBand RDMA write
 //	putgettrace -size 65536
 //	putgettrace -size 64,1024,65536 -parallel 3  # one trace per size
-//	putgettrace -json           # machine-readable events
+//	putgettrace -json           # one JSON document, one object per replay
 //	putgettrace -filter a.rma   # only the origin NIC's events
 //	putgettrace -perfetto t.json # span/metric trace for ui.perfetto.dev
 //	putgettrace -drop 0.2 -seed 7 # inject wire loss (retries in trace)
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -38,9 +39,38 @@ import (
 
 // dumpOpts carries the rendering choices into the per-size replays.
 type dumpOpts struct {
-	json     bool   // emit events as JSON instead of text lines
 	filter   string // component/kind segment prefix, "" = everything
 	perfetto bool   // also collect span/metric records for export
+}
+
+// replay is one traced put: the fabric, the payload size, the virtual
+// time it completed (picoseconds, like each event's At) and the events
+// recorded on the way. -json prints the list of replays as one document.
+type replay struct {
+	Fabric     string
+	Size       int
+	CompleteAt sim.Time
+	Events     []trace.Event
+	perfetto   []trace.PerfettoEvent
+}
+
+// text renders the replay as the human-readable trace.
+func (r replay) text() string {
+	var b strings.Builder
+	if r.Fabric == "ib" {
+		fmt.Fprintf(&b, "== InfiniBand: GPU-initiated RDMA write of %d bytes, queues on host ==\n", r.Size)
+	} else {
+		fmt.Fprintf(&b, "== EXTOLL: GPU-initiated put of %d bytes, dev2dev-direct ==\n", r.Size)
+	}
+	for _, ev := range r.Events {
+		fmt.Fprintf(&b, "%12v  %s\n", ev.At, ev.Msg)
+	}
+	if r.Fabric == "ib" {
+		fmt.Fprintf(&b, "== write complete at %v ==\n", r.CompleteAt)
+	} else {
+		fmt.Fprintf(&b, "== put complete at %v ==\n", r.CompleteAt)
+	}
+	return b.String()
 }
 
 func main() {
@@ -56,7 +86,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var trc func(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace.PerfettoEvent)
+	var trc func(p cluster.Params, size int, opt dumpOpts, pid int) replay
 	switch *fabric {
 	case "extoll":
 		trc = traceExtoll
@@ -94,8 +124,8 @@ func main() {
 		}
 	}
 
-	opt := dumpOpts{json: *jsonOut, filter: *catFilter, perfetto: *perfetto != ""}
-	results, perf := runTraces(trc, *fabric, sz, *parallel, opt, *dropRate, *seed)
+	opt := dumpOpts{filter: *catFilter, perfetto: *perfetto != ""}
+	results, replays, perf := runTraces(trc, *fabric, sz, *parallel, opt, *dropRate, *seed)
 
 	failed := 0
 	for _, r := range results {
@@ -104,10 +134,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "putgettrace: %s: %v\n", r.Name, r.Err)
 			continue
 		}
-		fmt.Print(r.Output)
+		if !*jsonOut {
+			fmt.Print(r.Output)
+		}
 	}
 	if failed > 0 {
 		os.Exit(1)
+	}
+	if *jsonOut {
+		if err := writeJSON(os.Stdout, replays); err != nil {
+			fmt.Fprintf(os.Stderr, "putgettrace: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	if *perfetto != "" {
 		f, err := os.Create(*perfetto)
@@ -127,14 +165,24 @@ func main() {
 	}
 }
 
+// writeJSON prints the replays as one JSON array, in listed order.
+func writeJSON(w io.Writer, replays []replay) error {
+	doc, err := json.MarshalIndent(replays, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s\n", doc)
+	return err
+}
+
 // runTraces replays one trace per size, sharded over the worker pool, and
-// returns per-size results in listed order plus the merged Perfetto
-// records (one process per replay). Each cell fills its own slot, so both
-// the text and the Perfetto document are byte-identical for any worker
-// count.
-func runTraces(trc func(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace.PerfettoEvent),
-	fabric string, sz []int, parallel int, opt dumpOpts, dropRate float64, seed uint64) ([]runner.Result, []trace.PerfettoEvent) {
-	perfParts := make([][]trace.PerfettoEvent, len(sz))
+// returns per-size results (text traces) and replays in listed order,
+// plus the merged Perfetto records (one process per replay). Each cell
+// fills its own slot, so the text, the JSON and the Perfetto document
+// are byte-identical for any worker count.
+func runTraces(trc func(p cluster.Params, size int, opt dumpOpts, pid int) replay,
+	fabric string, sz []int, parallel int, opt dumpOpts, dropRate float64, seed uint64) ([]runner.Result, []replay, []trace.PerfettoEvent) {
+	replays := make([]replay, len(sz))
 	cells := make([]runner.Cell, len(sz))
 	for i, size := range sz {
 		i, size := i, size
@@ -147,9 +195,8 @@ func runTraces(trc func(p cluster.Params, size int, opt dumpOpts, pid int) (stri
 				p.FaultSeed = seed
 				p.FaultDropRate = dropRate
 			}
-			out, evs := trc(p, size, opt, i)
-			perfParts[i] = evs
-			return out
+			replays[i] = trc(p, size, opt, i)
+			return replays[i].text()
 		}}
 	}
 	results := runner.Run(cells, runner.Options{
@@ -161,48 +208,31 @@ func runTraces(trc func(p cluster.Params, size int, opt dumpOpts, pid int) (stri
 		},
 	})
 	var perf []trace.PerfettoEvent
-	for _, evs := range perfParts {
-		perf = append(perf, evs...)
+	for _, r := range replays {
+		perf = append(perf, r.perfetto...)
 	}
-	return results, perf
+	return results, replays, perf
 }
 
 func attachTrace(e *sim.Engine) *trace.Recorder {
 	return trace.Attach(e, 100000)
 }
 
-// dump renders the recorded events; traces are returned as strings so the
-// sharded harness can merge them in order instead of interleaving writes.
-func dump(r *trace.Recorder, opt dumpOpts) string {
-	evs := r.Events()
+// record collects a finished replay from its recorder: the events that
+// pass the filter and, when an export was requested, the Perfetto
+// records under one process named fabric/size.
+func record(r *trace.Recorder, e *sim.Engine, fabric string, size int, opt dumpOpts, pid int) replay {
+	rep := replay{Fabric: fabric, Size: size, CompleteAt: e.Now(), Events: r.Events()}
 	if opt.filter != "" {
-		evs = r.Filter(opt.filter)
+		rep.Events = r.Filter(opt.filter)
 	}
-	var b strings.Builder
-	if opt.json {
-		enc := json.NewEncoder(&b)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(evs); err != nil {
-			panic(fmt.Sprintf("trace encode: %v", err))
-		}
-		return b.String()
+	if opt.perfetto {
+		rep.perfetto = r.PerfettoEvents(pid, fmt.Sprintf("%s/%dB", fabric, size))
 	}
-	for _, ev := range evs {
-		fmt.Fprintf(&b, "%12v  %s\n", ev.At, ev.Msg)
-	}
-	return b.String()
+	return rep
 }
 
-// export renders the recorder for the merged -perfetto document, or nil
-// when no export was requested.
-func export(r *trace.Recorder, opt dumpOpts, pid int, process string) []trace.PerfettoEvent {
-	if !opt.perfetto {
-		return nil
-	}
-	return r.PerfettoEvents(pid, process)
-}
-
-func traceExtoll(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace.PerfettoEvent) {
+func traceExtoll(p cluster.Params, size int, opt dumpOpts, pid int) replay {
 	tb := cluster.NewExtollPair(p)
 	defer tb.Shutdown()
 	rec := attachTrace(tb.E)
@@ -215,8 +245,6 @@ func traceExtoll(p cluster.Params, size int, opt dumpOpts, pid int) (string, []t
 	rb.OpenPort(0)
 	extoll.ConnectPorts(tb.A.Extoll, 0, tb.B.Extoll, 0)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "== EXTOLL: GPU-initiated put of %d bytes, dev2dev-direct ==\n", size)
 	done := tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
 		tb.E.Tracef("gpu: kernel starts, posting WR")
 		ra.DevPut(w, 0, srcN, dstN, size, extoll.FlagReqNotif|extoll.FlagCompNotif)
@@ -229,12 +257,10 @@ func traceExtoll(p cluster.Params, size int, opt dumpOpts, pid int) (string, []t
 	if !done.Done() {
 		panic("putgettrace: EXTOLL kernel did not complete")
 	}
-	b.WriteString(dump(rec, opt))
-	fmt.Fprintf(&b, "== put complete at %v ==\n", tb.E.Now())
-	return b.String(), export(rec, opt, pid, fmt.Sprintf("extoll/%dB", size))
+	return record(rec, tb.E, "extoll", size, opt, pid)
 }
 
-func traceIB(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace.PerfettoEvent) {
+func traceIB(p cluster.Params, size int, opt dumpOpts, pid int) replay {
 	tb := cluster.NewIBPair(p)
 	defer tb.Shutdown()
 	rec := attachTrace(tb.E)
@@ -247,8 +273,6 @@ func traceIB(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace
 	qb := vb.CreateQP(64, 16, 64, false)
 	core.ConnectVQPs(qa, qb)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "== InfiniBand: GPU-initiated RDMA write of %d bytes, queues on host ==\n", size)
 	done := tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
 		tb.E.Tracef("gpu: kernel starts, building WQE (%d-instruction post path)", 442)
 		va.DevPostSend(w, qa, ibsim.WQE{
@@ -266,7 +290,5 @@ func traceIB(p cluster.Params, size int, opt dumpOpts, pid int) (string, []trace
 	if !done.Done() {
 		panic("putgettrace: IB kernel did not complete")
 	}
-	b.WriteString(dump(rec, opt))
-	fmt.Fprintf(&b, "== write complete at %v ==\n", tb.E.Now())
-	return b.String(), export(rec, opt, pid, fmt.Sprintf("ib/%dB", size))
+	return record(rec, tb.E, "ib", size, opt, pid)
 }

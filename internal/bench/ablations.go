@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+
 	"putget/internal/cluster"
 	"putget/internal/core"
 	"putget/internal/gpusim"
 	"putget/internal/ibsim"
+	"putget/internal/runner"
 )
 
 // This file implements the ablation studies DESIGN.md calls out: each
@@ -168,4 +172,48 @@ func AblationP2PCollapse(p cluster.Params) (withCollapse, withoutCollapse Bandwi
 	po.P2PCollapseOff = true
 	withoutCollapse = ExtollStream(po, ExtHostControlled, 4<<20, 6)
 	return withCollapse, withoutCollapse
+}
+
+// Ablations renders every ablation study as one report. Each section is
+// an independent simulation sharded over p.Parallel and printed in its
+// fixed order, so the report is byte-identical for any worker count.
+func Ablations(p cluster.Params) string {
+	sections := []func() string{
+		func() string {
+			withOpt, withoutOpt := AblationEndianness(p)
+			return fmt.Sprintf("ablation: endianness conversion (claim 2)\n"+
+				"  post_send with static-field optimization:    %d instructions\n"+
+				"  post_send without static-field optimization: %d instructions\n", withOpt, withoutOpt)
+		},
+		func() string {
+			ex := AblationCollectivePostExtoll(p)
+			return fmt.Sprintf("ablation: thread-collective EXTOLL WR write (claim 2)\n"+
+				"  single thread: %d instructions, %d PCIe write transactions\n"+
+				"  warp (8 lanes): %d instructions, %d PCIe write transactions\n",
+				ex.SingleInstr, ex.SingleTxns, ex.CollectiveInstr, ex.CollectiveTxns)
+		},
+		func() string {
+			ib := AblationCollectivePostIB(p)
+			return fmt.Sprintf("ablation: warp-cooperative WQE build (claim 2)\n"+
+				"  single thread: %d instructions, %d PCIe write transactions\n"+
+				"  warp (8 lanes): %d instructions, %d PCIe write transactions\n",
+				ib.SingleInstr, ib.SingleTxns, ib.CollectiveInstr, ib.CollectiveTxns)
+		},
+		func() string {
+			host, dev := AblationNotifPlacement(p, 1024)
+			return fmt.Sprintf("ablation: EXTOLL notification ring placement (claim 3, 1KiB ping-pong)\n"+
+				"  rings in host memory:   latency %v, %d sysmem poll reads over the measured window\n"+
+				"  rings in device memory: latency %v, %d sysmem poll reads over the measured window\n",
+				host.HalfRTT, host.Counters.SysmemReads32B,
+				dev.HalfRTT, dev.Counters.SysmemReads32B)
+		},
+		func() string {
+			with, without := AblationP2PCollapse(p)
+			return fmt.Sprintf("ablation: PCIe P2P read collapse at 4MiB (Figs. 1b/4b droop)\n"+
+				"  with collapse:    %.0f MB/s\n"+
+				"  without collapse: %.0f MB/s", with.BytesPerSec/1e6, without.BytesPerSec/1e6)
+		},
+	}
+	outs := runner.Map(p.Parallel, sections, func(_ int, section func() string) string { return section() })
+	return strings.Join(outs, "\n")
 }

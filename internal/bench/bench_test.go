@@ -375,3 +375,15 @@ func TestModernShrinksGPUGap(t *testing.T) {
 		t.Fatalf("the gap should survive (%.2f): descriptor generation is still serial", newGap)
 	}
 }
+
+// TestMessageRateCellAllocs guards the EXTOLL hostControlled 32x80
+// message-rate cell on allocs/op. The ceiling is 1.15x the measured
+// count.
+func TestMessageRateCellAllocs(t *testing.T) {
+	got := testing.AllocsPerRun(1, func() {
+		ExtollMessageRate(cluster.Default(), RateHostControlled, 32, 80)
+	})
+	if limit := 1.15 * 73262; got > limit {
+		t.Errorf("msgrate/extoll: %.0f allocs/op, ceiling %.0f", got, limit)
+	}
+}

@@ -66,7 +66,7 @@ func TestStageBreakdownParallelDeterminism(t *testing.T) {
 // TestExtraExperimentsRegistered: the diagnostics resolve by id but stay
 // out of the paper set, so `-experiment all` output is unchanged.
 func TestExtraExperimentsRegistered(t *testing.T) {
-	for _, id := range []string{"breakdown", "crossapi", "kvserve"} {
+	for _, id := range []string{"ablations", "breakdown", "crossapi", "kvserve"} {
 		if _, ok := Lookup(id); !ok {
 			t.Fatalf("%s experiment not resolvable", id)
 		}

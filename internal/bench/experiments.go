@@ -395,6 +395,8 @@ func ExtraExperiments() []Runner {
 			func(p cluster.Params) string { return StageBreakdown(p) }, nil},
 		{"crossapi", "both fabrics mode-for-mode through the unified transport layer",
 			func(p cluster.Params) string { return CrossAPI(p) }, nil},
+		{"ablations", "the §VI design choices, each isolated: endianness, collective posts, ring placement, P2P collapse",
+			func(p cluster.Params) string { return Ablations(p) }, nil},
 		{"kvserve", "replicated put/get KV serving: quorums, failover, fault-sweep SLOs",
 			func(p cluster.Params) string { return KVServe(p) }, nil},
 		{"scaling", "N-rank collectives over switched fat-tree/torus fabrics + teams + torus fault sweep",
@@ -404,8 +406,9 @@ func ExtraExperiments() []Runner {
 	}
 }
 
-// faultSweepSeed picks the sweep's master seed: the -seed flag when given,
-// else a fixed default so the experiment is reproducible out of the box.
+// faultSweepSeed picks the master seed of faultsweep and kvserve: the
+// -seed flag when given, else a fixed default so the experiment is
+// reproducible out of the box.
 func faultSweepSeed(p cluster.Params) uint64 {
 	if p.FaultSeed != 0 {
 		return p.FaultSeed

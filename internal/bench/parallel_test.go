@@ -73,17 +73,20 @@ func TestTeamsTableParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestTableParallelDeterminism covers the counter-table path: per-cell
-// engines must leave the merged counters bit-identical for any worker
-// count.
+// TestTableParallelDeterminism covers the counter-table and ablation
+// paths: per-cell engines must leave the merged counters and the
+// ablation report bit-identical for any worker count.
 func TestTableParallelDeterminism(t *testing.T) {
 	seq := cluster.Default()
 	seq.Parallel = 1
 	par := cluster.Default()
-	par.Parallel = 4
+	par.Parallel = 8
 
 	if a, b := Table1(seq), Table1(par); !reflect.DeepEqual(a, b) {
 		t.Fatalf("Table1 diverged:\n%+v\n%+v", a, b)
+	}
+	if a, b := Ablations(seq), Ablations(par); a != b {
+		t.Fatalf("Ablations diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s", a, b)
 	}
 }
 

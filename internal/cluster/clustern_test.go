@@ -138,3 +138,24 @@ func TestPairIsDirectCluster(t *testing.T) {
 		}()
 	}
 }
+
+// TestLazyBuildAllocs guards lazy construction on allocs/op, which does
+// not depend on the machine: a fat-tree NewClusterOn builds only the
+// switch graph, so building every node eagerly (hundreds of times the
+// allocations) fails it. The ceilings are 1.15x the measured counts.
+func TestLazyBuildAllocs(t *testing.T) {
+	p := scaledParams()
+	p.ExtPorts = 72
+	p.ExtNotifEntries = 128
+	for _, tc := range []struct {
+		n    int
+		base float64
+	}{{256, 6426}, {1024, 27421}} {
+		got := testing.AllocsPerRun(2, func() {
+			NewClusterOn(FabricExtoll, topo.Spec{Kind: topo.FatTree}, tc.n, p).Shutdown()
+		})
+		if limit := 1.15 * tc.base; got > limit {
+			t.Errorf("%d-node lazy build: %.0f allocs/op, ceiling %.0f", tc.n, got, limit)
+		}
+	}
+}

@@ -231,3 +231,20 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestServeCellAllocs guards one default kvserve cell per fabric on
+// allocs/op, the machine-independent cost of the serving path. The
+// ceilings are 1.15x the measured counts.
+func TestServeCellAllocs(t *testing.T) {
+	p := faultyParams(42)
+	cfg := DefaultConfig(42)
+	for _, tc := range []struct {
+		kind transport.Kind
+		base float64
+	}{{transport.KindExtoll, 232990}, {transport.KindIB, 261821}} {
+		got := testing.AllocsPerRun(1, func() { Run(tc.kind, p, cfg) })
+		if limit := 1.15 * tc.base; got > limit {
+			t.Errorf("%v: %.0f allocs/op, ceiling %.0f", tc.kind, got, limit)
+		}
+	}
+}

@@ -276,3 +276,21 @@ func TestTeamMisuse(t *testing.T) {
 		w.newTeam("dup", []int{1, 2, 1})
 	})
 }
+
+// TestTeamConnectAllocs guards the lazy path from an empty 64-rank world
+// to a wired 16-rank strided ring on allocs/op: only the team's members
+// may be built and connected. The ceiling is 1.15x the measured count.
+func TestTeamConnectAllocs(t *testing.T) {
+	p := clusterParams()
+	p.ExtPorts = 72
+	p.ExtNotifEntries = 128
+	got := testing.AllocsPerRun(1, func() {
+		w := NewWorldN(transport.KindExtoll, topo.Spec{Kind: topo.FatTree}, 64, p, 1<<20)
+		team := w.Root().Strided(0, 4, 16)
+		team.NewAllReduce(Ring, w.Malloc(8*16), 16)
+		w.Shutdown()
+	})
+	if limit := 1.15 * 53673; got > limit {
+		t.Errorf("16-of-64 team connect: %.0f allocs/op, ceiling %.0f", got, limit)
+	}
+}

@@ -317,3 +317,50 @@ func TestEngineUsableForInspectionAfterShutdown(t *testing.T) {
 		t.Fatalf("Now = %v", e.Now())
 	}
 }
+
+// TestEngineLoopsDoNotAllocate pins the engine's hot paths at zero
+// allocations per op: schedule+dispatch of one event, timer arm/cancel
+// churn (the KV coordinator's deadline pattern), and one
+// engine→proc→engine handoff.
+func TestEngineLoopsDoNotAllocate(t *testing.T) {
+	fn := func() {}
+
+	sched := NewEngine()
+	defer sched.Shutdown()
+	schedule := func() {
+		sched.At(sched.Now()+1, fn)
+		sched.Run()
+	}
+
+	timers := NewEngine()
+	defer timers.Shutdown()
+	churn := func() {
+		t1 := timers.AfterTimer(1, fn)
+		timers.AfterTimer(2, fn)
+		t1.Cancel()
+		timers.Run()
+	}
+
+	hand := NewEngine()
+	defer hand.Shutdown()
+	hand.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	hand.RunUntil(0)
+	var tick Time
+	handoff := func() {
+		tick++
+		hand.RunUntil(tick)
+	}
+
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}} {
+		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
+		}
+	}
+}
