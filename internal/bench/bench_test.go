@@ -5,6 +5,7 @@ import (
 
 	"putget/internal/cluster"
 	"putget/internal/sim"
+	"putget/internal/transport"
 )
 
 // ---- EXTOLL latency ----
@@ -385,5 +386,19 @@ func TestMessageRateCellAllocs(t *testing.T) {
 	})
 	if limit := 1.15 * 73262; got > limit {
 		t.Errorf("msgrate/extoll: %.0f allocs/op, ceiling %.0f", got, limit)
+	}
+}
+
+// TestHostSpinEventCounts guards host poll elision on executed events, a
+// count that does not depend on the machine: a hostControlled ping-pong
+// spins the CPU on host-RAM completion rings, and with one event per
+// probe the 64 KiB cell ran 1,624,704 events on EXTOLL and 1,022,915 on
+// IB. Elided, it runs 14,568 and 13,008.
+func TestHostSpinEventCounts(t *testing.T) {
+	for _, kind := range []transport.Kind{transport.KindExtoll, transport.KindIB} {
+		r := PingPong(cluster.Default(), kind, transport.HostControlled, 64<<10, 250, 10)
+		if limit := uint64(20000); r.Events > limit {
+			t.Errorf("%v: %d events, ceiling %d", kind, r.Events, limit)
+		}
 	}
 }

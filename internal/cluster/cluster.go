@@ -61,7 +61,7 @@ func newNode(e *sim.Engine, name string, p Params) *Node {
 			EgressRate: p.CPUEgress, OneWay: p.CPUOneWay, ReadLatency: 100 * sim.Nanosecond,
 		},
 	})
-	hostEP.OnInboundWrite = func(addr memspace.Addr, n int) { cpu.NotifyInboundWrite() }
+	hostEP.OnInboundWrite = cpu.NotifyInboundWrite
 	gpu := gpusim.New(e, f, gpusim.Config{
 		Name:           name + ".gpu",
 		SMs:            p.GPUSMs,

@@ -249,19 +249,16 @@ func (r *RMA) DevWaitNotifTimeout(w *gpusim.Warp, port, class int, timeout sim.D
 // HostWaitNotifTimeout is the CPU-side bounded wait.
 func (r *RMA) HostWaitNotifTimeout(p *sim.Proc, port, class int, timeout sim.Duration) (NotifResult, bool) {
 	id := r.span(r.Node.CPU.Name(), "poll.notif", class)
-	deadline := p.Now().Add(timeout)
-	for {
-		if w0, ok := r.hostTryConsume(p, port, class); ok {
-			r.Node.E.SpanClose(id)
-			return NotifResult{
-				Size: extoll.NotifSize(w0), Err: extoll.NotifErr(w0), Timeout: extoll.NotifTimeout(w0),
-			}, true
-		}
-		if p.Now() >= deadline {
-			r.Node.E.SpanClose(id)
-			return NotifResult{}, false
-		}
+	w0, ok := r.Node.CPU.SpinU64Until(p, r.hostNotifSlot(port, class), extoll.NotifValid, p.Now().Add(timeout))
+	if !ok {
+		r.Node.E.SpanClose(id)
+		return NotifResult{}, false
 	}
+	r.hostConsume(p, port, class)
+	r.Node.E.SpanClose(id)
+	return NotifResult{
+		Size: extoll.NotifSize(w0), Err: extoll.NotifErr(w0), Timeout: extoll.NotifTimeout(w0),
+	}, true
 }
 
 // DevPollU64 spins on a device-memory word until it holds want — the
@@ -333,11 +330,8 @@ func (r *RMA) HostFetchAdd(p *sim.Proc, port int, addend uint64, dst extoll.NLA)
 		}
 	}
 	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf)
-	for {
-		if _, cookie, ok := r.HostTryConsumeNotifValue(p, port, extoll.ClassCompleter); ok {
-			return cookie
-		}
-	}
+	cpu.SpinU64(p, r.hostNotifSlot(port, extoll.ClassCompleter), extoll.NotifValid)
+	return r.hostConsume(p, port, extoll.ClassCompleter)
 }
 
 // HostGet creates and posts a get WR from the CPU.
@@ -366,50 +360,41 @@ func (r *RMA) HostTryConsumeNotif(p *sim.Proc, port, class int) (int, bool) {
 
 // HostTryConsumeNotifValue is HostTryConsumeNotif with the cookie word.
 func (r *RMA) HostTryConsumeNotifValue(p *sim.Proc, port, class int) (int, uint64, bool) {
+	w0 := r.Node.CPU.ReadU64(p, r.hostNotifSlot(port, class))
+	if !extoll.NotifValid(w0) {
+		return 0, 0, false
+	}
+	return extoll.NotifSize(w0), r.hostConsume(p, port, class), true
+}
+
+// hostNotifSlot is the ring entry the next host-side consume probes.
+func (r *RMA) hostNotifSlot(port, class int) memspace.Addr {
+	return r.NIC.NotifEntryAddr(port, class, r.rp[[2]int{port, class}])
+}
+
+// hostConsume is the consume step after a host probe found the entry at
+// hostNotifSlot valid: it reads the cookie word, frees the entry and
+// advances the read pointer.
+func (r *RMA) hostConsume(p *sim.Proc, port, class int) uint64 {
 	cpu := r.Node.CPU
 	key := [2]int{port, class}
 	idx := r.rp[key]
 	entry := r.NIC.NotifEntryAddr(port, class, idx)
-	w0 := cpu.ReadU64(p, entry)
-	if !extoll.NotifValid(w0) {
-		return 0, 0, false
-	}
 	cookie := cpu.ReadU64(p, entry+8)
 	cpu.WriteU64(p, entry, 0)
 	cpu.WriteU64(p, entry+8, 0)
 	cpu.WriteU64(p, r.NIC.NotifRPAddr(port, class), uint64(idx+1))
 	r.rp[key] = idx + 1
-	return extoll.NotifSize(w0), cookie, true
-}
-
-// hostTryConsume is HostTryConsumeNotifValue returning the raw first
-// word, for callers that inspect the error/timeout flags.
-func (r *RMA) hostTryConsume(p *sim.Proc, port, class int) (uint64, bool) {
-	cpu := r.Node.CPU
-	key := [2]int{port, class}
-	idx := r.rp[key]
-	entry := r.NIC.NotifEntryAddr(port, class, idx)
-	w0 := cpu.ReadU64(p, entry)
-	if !extoll.NotifValid(w0) {
-		return 0, false
-	}
-	cpu.ReadU64(p, entry+8)
-	cpu.WriteU64(p, entry, 0)
-	cpu.WriteU64(p, entry+8, 0)
-	cpu.WriteU64(p, r.NIC.NotifRPAddr(port, class), uint64(idx+1))
-	r.rp[key] = idx + 1
-	return w0, true
+	return cookie
 }
 
 // HostWaitNotif spins until a notification arrives and consumes it.
 func (r *RMA) HostWaitNotif(p *sim.Proc, port, class int) int {
 	id := r.span(r.Node.CPU.Name(), "poll.notif", class)
-	for {
-		if size, ok := r.HostTryConsumeNotif(p, port, class); ok {
-			r.Node.E.SpanClose(id)
-			return size
-		}
-	}
+	w0 := r.Node.CPU.SpinU64(p, r.hostNotifSlot(port, class), extoll.NotifValid)
+	r.hostConsume(p, port, class)
+	r.Node.E.SpanClose(id)
+	return extoll.NotifSize(w0)
 }
 
 // ---- host-assisted protocol ----

@@ -311,44 +311,45 @@ func (v *Verbs) HostPostRecv(p *sim.Proc, qp *VQP, rwqe ibsim.RecvWQE) {
 
 // HostTryPollCQ is one CPU probe of a completion queue.
 func (v *Verbs) HostTryPollCQ(p *sim.Proc, cq *VCQ) (ibsim.CQE, bool) {
-	cpu := v.Node.CPU
-	slot := cq.CQ.EntryAddr(cq.head)
-	if !ibsim.CQEValidWord(cpu.ReadU64(p, slot)) {
+	if !ibsim.CQEValidWord(v.Node.CPU.ReadU64(p, cq.CQ.EntryAddr(cq.head))) {
 		return ibsim.CQE{}, false
 	}
+	return v.hostConsumeCQE(p, cq), true
+}
+
+// hostConsumeCQE is the consume step after a host probe found the CQE at
+// the head of cq valid: it reads the entry, frees it and advances the
+// consumer index.
+func (v *Verbs) hostConsumeCQE(p *sim.Proc, cq *VCQ) ibsim.CQE {
+	cpu := v.Node.CPU
+	slot := cq.CQ.EntryAddr(cq.head)
 	buf := make([]byte, ibsim.CQEBytes)
 	cpu.Read(p, slot, buf)
 	cqe := ibsim.DecodeCQE(buf)
-	zero := make([]byte, ibsim.CQEBytes)
-	cpu.Write(p, slot, zero)
+	clear(buf)
+	cpu.Write(p, slot, buf)
 	cpu.WriteU64(p, cq.CIDoc, uint64(cq.head+1))
 	cq.head++
-	return cqe, true
+	return cqe
 }
 
 // HostPollCQ spins until a completion arrives.
 func (v *Verbs) HostPollCQ(p *sim.Proc, cq *VCQ) ibsim.CQE {
 	id := v.vspan(v.Node.CPU.Name(), "poll.cq", 0)
-	for {
-		if cqe, ok := v.HostTryPollCQ(p, cq); ok {
-			v.Node.E.SpanClose(id)
-			return cqe
-		}
-	}
+	v.Node.CPU.SpinU64(p, cq.CQ.EntryAddr(cq.head), ibsim.CQEValidWord)
+	cqe := v.hostConsumeCQE(p, cq)
+	v.Node.E.SpanClose(id)
+	return cqe
 }
 
 // HostPollCQTimeout is the CPU-side bounded CQ poll.
 func (v *Verbs) HostPollCQTimeout(p *sim.Proc, cq *VCQ, timeout sim.Duration) (ibsim.CQE, bool) {
 	id := v.vspan(v.Node.CPU.Name(), "poll.cq", 0)
-	deadline := p.Now().Add(timeout)
-	for {
-		if cqe, ok := v.HostTryPollCQ(p, cq); ok {
-			v.Node.E.SpanClose(id)
-			return cqe, true
-		}
-		if p.Now() >= deadline {
-			v.Node.E.SpanClose(id)
-			return ibsim.CQE{}, false
-		}
+	if _, ok := v.Node.CPU.SpinU64Until(p, cq.CQ.EntryAddr(cq.head), ibsim.CQEValidWord, p.Now().Add(timeout)); !ok {
+		v.Node.E.SpanClose(id)
+		return ibsim.CQE{}, false
 	}
+	cqe := v.hostConsumeCQE(p, cq)
+	v.Node.E.SpanClose(id)
+	return cqe, true
 }

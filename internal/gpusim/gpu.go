@@ -109,7 +109,7 @@ func New(e *sim.Engine, f *pcie.Fabric, cfg Config) *GPU {
 	f.ClaimRAM(g.ep, g.devMem)
 	g.l2 = NewL2(cfg.L2Bytes, cfg.L2Assoc, cfg.L2Sector)
 	g.inboundSig = sim.NewSignal(e)
-	g.ep.OnInboundWrite = func(addr memspace.Addr, n int) {
+	g.ep.OnInboundWrite = func(addr memspace.Addr, n int, _ sim.Time) {
 		g.l2.InvalidateRange(uint64(addr), n)
 		g.inboundEpoch++
 		g.inboundSig.Broadcast()

@@ -54,7 +54,7 @@ func newRig(t *testing.T) *rig {
 		HostRAM:       host,
 		PCIe:          pcie.EndpointConfig{EgressRate: 16e9, OneWay: 100 * sim.Nanosecond, ReadLatency: 100 * sim.Nanosecond},
 	})
-	hostEP.OnInboundWrite = func(addr memspace.Addr, n int) { cpu.NotifyInboundWrite() }
+	hostEP.OnInboundWrite = cpu.NotifyInboundWrite
 	return &rig{e: e, f: f, cpu: cpu, dev: dev, bar: bar, nic: nic, devEP: devEP}
 }
 

@@ -100,6 +100,41 @@ func (r *RAM) ReadAt(off uint64, b []byte) error {
 	return nil
 }
 
+// wordPage returns the page offset of the word at off, or false when the
+// word is out of bounds or straddles two pages (the byte path handles,
+// or reports, those).
+func (r *RAM) wordPage(off uint64) (uint64, bool) {
+	po := off & (ramPageSize - 1)
+	return po, off < r.size && r.size-off >= 8 && po <= ramPageSize-8
+}
+
+// readWord is the word fast path of Space.ReadU64.
+func (r *RAM) readWord(off uint64) (uint64, bool) {
+	po, ok := r.wordPage(off)
+	if !ok {
+		return 0, false
+	}
+	pg := r.pages[off>>ramPageShift]
+	if pg == nil {
+		return 0, true
+	}
+	return binary.LittleEndian.Uint64(pg[po:]), true
+}
+
+// writeWord is the word fast path of Space.WriteU64.
+func (r *RAM) writeWord(off uint64, v uint64) bool {
+	po, ok := r.wordPage(off)
+	if !ok {
+		return false
+	}
+	pi := off >> ramPageShift
+	if r.pages[pi] == nil {
+		r.pages[pi] = make([]byte, ramPageSize)
+	}
+	binary.LittleEndian.PutUint64(r.pages[pi][po:], v)
+	return true
+}
+
 // WriteAt implements Memory.
 func (r *RAM) WriteAt(off uint64, b []byte) error {
 	if off+uint64(len(b)) > r.size || off+uint64(len(b)) < off {
@@ -189,20 +224,52 @@ func (s *Space) Write(a Addr, b []byte) error {
 	return mem.WriteAt(uint64(a-region.Base), b)
 }
 
-// ReadU64 reads a little-endian 64-bit word at a.
+// ReadU64 reads a little-endian 64-bit word at a. A word inside one RAM
+// page is read in place; anything else goes through the Memory interface.
+//
+//putget:hot
 func (s *Space) ReadU64(a Addr) (uint64, error) {
+	mem, region, err := s.Lookup(a)
+	if err != nil {
+		return 0, err
+	}
+	off := uint64(a - region.Base)
+	if r, ok := mem.(*RAM); ok {
+		if v, ok := r.readWord(off); ok {
+			return v, nil
+		}
+	}
+	return readU64(mem, off)
+}
+
+func readU64(mem Memory, off uint64) (uint64, error) {
 	var b [8]byte
-	if err := s.Read(a, b[:]); err != nil {
+	if err := mem.ReadAt(off, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteU64 writes a little-endian 64-bit word at a.
+// WriteU64 writes a little-endian 64-bit word at a, in place when it
+// falls inside one RAM page.
+//
+//putget:hot
 func (s *Space) WriteU64(a Addr, v uint64) error {
+	mem, region, err := s.Lookup(a)
+	if err != nil {
+		return err
+	}
+	off := uint64(a - region.Base)
+	if r, ok := mem.(*RAM); ok && r.writeWord(off, v) {
+		return nil
+	}
+	return writeU64(mem, off, v)
+}
+
+func writeU64(mem Memory, off uint64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return s.Write(a, b[:])
+	return mem.WriteAt(off, b[:])
 }
 
 // ReadU32 reads a little-endian 32-bit word at a.

@@ -143,3 +143,46 @@ func TestSpaceRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWordAccessDoesNotAllocate pins Space.ReadU64/WriteU64 on RAM at
+// zero allocations: a word inside one page is read and written in place
+// instead of through a byte slice passed to the Memory interface. A
+// word straddling two pages takes the byte path and must still agree.
+func TestWordAccessDoesNotAllocate(t *testing.T) {
+	s := NewSpace()
+	s.MustMap(0x1000, NewRAM("r", 4*ramPageSize))
+	addr := Addr(0x1000 + 0x40)
+	n := uint64(0)
+	got := testing.AllocsPerRun(1000, func() {
+		n++
+		if err := s.WriteU64(addr, n); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := s.ReadU64(addr); err != nil || v != n {
+			t.Fatalf("read back %d, %v; want %d", v, err, n)
+		}
+	})
+	if got != 0 {
+		t.Errorf("word access: %v allocs/op, want 0", got)
+	}
+	if v, err := s.ReadU64(0x1000 + 3*ramPageSize); err != nil || v != 0 {
+		t.Fatalf("untouched page read %d, %v; want 0", v, err)
+	}
+	straddle := Addr(0x1000 + ramPageSize - 3)
+	if err := s.WriteU64(straddle, 0x1122334455667788); err != nil {
+		t.Fatal(err)
+	}
+	var b [8]byte
+	if err := s.Read(straddle, b[:]); err != nil || b != [8]byte{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11} {
+		t.Fatalf("straddling word bytes %x, %v", b, err)
+	}
+	if v, err := s.ReadU64(straddle); err != nil || v != 0x1122334455667788 {
+		t.Fatalf("straddling word read %#x, %v", v, err)
+	}
+	if _, err := s.ReadU64(0x1000 + 4*ramPageSize - 4); err == nil {
+		t.Error("expected a word running past the end to fail")
+	}
+	if err := s.WriteU64(0x1000+4*ramPageSize-4, 1); err == nil {
+		t.Error("expected a word write running past the end to fail")
+	}
+}

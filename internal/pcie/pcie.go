@@ -82,8 +82,9 @@ type Endpoint struct {
 	// OnInboundWrite, if set, runs (in engine context) after an inbound
 	// DMA/MMIO write into this endpoint's RAM region lands. The GPU uses
 	// it to invalidate L2 lines so device-memory polling observes NIC
-	// writes.
-	OnInboundWrite func(addr memspace.Addr, n int)
+	// writes; the host CPU uses the post time to tell which of its spin
+	// probes at the landing instant ran before the write.
+	OnInboundWrite func(addr memspace.Addr, n int, posted sim.Time)
 }
 
 // Name returns the endpoint name.
@@ -207,10 +208,13 @@ func (f *Fabric) claim(o ownerEntry) {
 	f.owners = append(f.owners, o)
 }
 
-func (f *Fabric) owner(a memspace.Addr) ownerEntry {
-	for _, o := range f.owners {
-		if o.region.Contains(a) {
-			return o
+// owner returns the claim covering a. Claims are never modified once
+// made, so the pointer stays valid (and its contents current) for as long
+// as a delivery closure holds it, even after later claims grow the table.
+func (f *Fabric) owner(a memspace.Addr) *ownerEntry {
+	for i := range f.owners {
+		if f.owners[i].region.Contains(a) {
+			return &f.owners[i]
 		}
 	}
 	panic(fmt.Sprintf("pcie: address %#x has no owner", uint64(a)))
@@ -245,11 +249,12 @@ func (f *Fabric) PostedWrite(src *Endpoint, addr memspace.Addr, data []byte) sim
 			sim.Attr{Key: "bytes", Val: int64(len(data))})
 		f.e.SpanCloseAt(id, deliver)
 	}
-	f.e.At(deliver, func() { f.deliverWrite(o, addr, data) })
+	posted := f.e.Now()
+	f.e.At(deliver, func() { f.deliverWrite(o, addr, data, posted) })
 	return deliver
 }
 
-func (f *Fabric) deliverWrite(o ownerEntry, addr memspace.Addr, data []byte) {
+func (f *Fabric) deliverWrite(o *ownerEntry, addr memspace.Addr, data []byte, posted sim.Time) {
 	if f.e.Traced() {
 		f.e.Tracev("pcie", "write", "pcie: write %dB -> %s @%#x", len(data), o.ep.name, uint64(addr))
 	}
@@ -261,7 +266,7 @@ func (f *Fabric) deliverWrite(o ownerEntry, addr memspace.Addr, data []byte) {
 			panic(fmt.Sprintf("pcie: inbound write: %v", err))
 		}
 		if o.ep.OnInboundWrite != nil {
-			o.ep.OnInboundWrite(addr, len(data))
+			o.ep.OnInboundWrite(addr, len(data), posted)
 		}
 	}
 }
@@ -295,7 +300,7 @@ func (f *Fabric) Read(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []byte
 	p.Sleep(flight(o.ep, src))
 }
 
-func (f *Fabric) serveRead(o ownerEntry, addr memspace.Addr, buf []byte) {
+func (f *Fabric) serveRead(o *ownerEntry, addr memspace.Addr, buf []byte) {
 	switch o.kind {
 	case ownMMIO:
 		o.target.MMIORead(addr, buf)
@@ -371,7 +376,8 @@ func (f *Fabric) WriteBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, data 
 		deliver = src.lastDeliver
 	}
 	src.lastDeliver = deliver
-	f.e.At(deliver, func() { f.deliverWrite(o, addr, data) })
+	posted := f.e.Now()
+	f.e.At(deliver, func() { f.deliverWrite(o, addr, data, posted) })
 	p.SleepUntil(sent)
 	return deliver
 }

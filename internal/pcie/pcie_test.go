@@ -225,7 +225,7 @@ func TestWriteBulkDeliversOnceAtEnd(t *testing.T) {
 	tb := newTestbed(t)
 	fired := 0
 	var firedAt sim.Time
-	tb.gpuEP.OnInboundWrite = func(addr memspace.Addr, n int) {
+	tb.gpuEP.OnInboundWrite = func(addr memspace.Addr, n int, _ sim.Time) {
 		fired++
 		firedAt = tb.e.Now()
 		if n != 64<<10 {

@@ -320,8 +320,8 @@ func TestEngineUsableForInspectionAfterShutdown(t *testing.T) {
 
 // TestEngineLoopsDoNotAllocate pins the engine's hot paths at zero
 // allocations per op: schedule+dispatch of one event, timer arm/cancel
-// churn (the KV coordinator's deadline pattern), and one
-// engine→proc→engine handoff.
+// churn (the KV coordinator's deadline pattern), one
+// engine→proc→engine handoff, and Signal Wait/WaitUntil/Broadcast parks.
 func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	fn := func() {}
 
@@ -355,10 +355,40 @@ func TestEngineLoopsDoNotAllocate(t *testing.T) {
 		hand.RunUntil(tick)
 	}
 
+	// One signal round: a waiter parks with Wait, then with a WaitUntil
+	// that the signal beats, then with one that times out; Broadcast
+	// wakes it twice.
+	sig := NewEngine()
+	defer sig.Shutdown()
+	s := NewSignal(sig)
+	sig.Spawn("waiter", func(p *Proc) {
+		for {
+			s.Wait(p)
+			s.WaitUntil(p, p.Now()+10)
+			s.WaitUntil(p, p.Now()+1)
+		}
+	})
+	sig.Spawn("waker", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			s.Broadcast()
+			p.Sleep(1)
+			s.Broadcast()
+			p.Sleep(8)
+		}
+	})
+	sig.RunUntil(0)
+	var sigTick Time
+	signal := func() {
+		sigTick += 10
+		sig.RunUntil(sigTick)
+	}
+	signal()
+
 	for _, tc := range []struct {
 		name string
 		op   func()
-	}{{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}} {
+	}{{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}, {"signal", signal}} {
 		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
 		}

@@ -34,11 +34,19 @@ type Proc struct {
 	wake chan uint8
 	done bool
 	kill bool
+	// timedOut is the verdict of the pending Signal.WaitUntil on waitSig.
+	timedOut bool
 
 	// resumeF is the resume method value, built once at spawn so the hot
 	// wake paths (Sleep, Signal.Broadcast, Resource.Release, ...) schedule
 	// it without allocating a fresh closure per wakeup.
 	resumeF func()
+
+	// waitSig is the signal of a pending Signal.WaitUntil and timeoutF
+	// its deadline callback (the waitTimeout method value), built on the
+	// first timed wait and reused by every later one.
+	waitSig  *Signal
+	timeoutF func()
 }
 
 // procKilled is the sentinel panic value Shutdown injects into parked

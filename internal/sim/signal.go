@@ -24,6 +24,8 @@ func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
 
 // Wait parks p until the next Broadcast or a Pulse that selects it. p
 // must belong to the same engine as the signal (affinity guard).
+//
+//putget:hot
 func (s *Signal) Wait(p *Proc) {
 	s.e.mustOwn(p, "Signal.Wait")
 	s.waiters = append(s.waiters, waiter{p: p})
@@ -32,14 +34,19 @@ func (s *Signal) Wait(p *Proc) {
 
 // Broadcast schedules every current waiter to resume at the present time.
 // Waiters added after Broadcast returns are not woken. Safe to call from
-// either process or event context.
+// either process or event context. The wait queue keeps its backing
+// array, so a signal that is waited on and woken in a loop stops
+// allocating after the first round.
+//
+//putget:hot
 func (s *Signal) Broadcast() {
 	ws := s.waiters
-	s.waiters = nil
 	for i := range ws {
 		ws[i].timer.Cancel()
 		s.e.At(s.e.now, ws[i].p.resumeF)
 	}
+	clear(ws)
+	s.waiters = ws[:0]
 }
 
 // WaitUntil parks p until the next Broadcast/Pulse or until deadline,
@@ -48,28 +55,44 @@ func (s *Signal) Broadcast() {
 // without parking. When the signal wins, the deadline timer is cancelled
 // on the spot; when both land on the same instant, whichever event was
 // scheduled first decides (a Broadcast armed before this WaitUntil beats
-// the deadline, one armed after loses to it).
+// the deadline, one armed after loses to it). The deadline callback is
+// built once per process (Proc.timeoutF), so a timed wait allocates
+// nothing.
+//
+//putget:hot
 func (s *Signal) WaitUntil(p *Proc, deadline Time) bool {
 	s.e.mustOwn(p, "Signal.WaitUntil")
 	if deadline <= s.e.now {
 		return false
 	}
-	timedOut := false
-	tm := s.e.AtTimer(deadline, func() {
-		// Still queued (any wake would have cancelled this timer): leave
-		// the wait queue and resume with the timeout verdict.
-		for i := range s.waiters {
-			if s.waiters[i].p == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				timedOut = true
-				p.resume()
-				return
-			}
-		}
-	})
+	if p.timeoutF == nil {
+		p.timeoutF = p.waitTimeout
+	}
+	p.waitSig, p.timedOut = s, false
+	tm := s.e.AtTimer(deadline, p.timeoutF)
 	s.waiters = append(s.waiters, waiter{p: p, timer: tm})
 	p.park()
-	return !timedOut
+	p.waitSig = nil
+	return !p.timedOut
+}
+
+// waitTimeout is the deadline event of a WaitUntil on p.waitSig. Any wake
+// would have cancelled it, so p is still queued: it leaves the wait queue
+// and resumes with the timeout verdict.
+//
+//putget:hot
+func (p *Proc) waitTimeout() {
+	s := p.waitSig
+	for i := range s.waiters {
+		if s.waiters[i].p == p {
+			n := copy(s.waiters[i:], s.waiters[i+1:])
+			s.waiters[i+n] = waiter{}
+			s.waiters = s.waiters[:i+n]
+			p.timedOut = true
+			p.resume()
+			return
+		}
+	}
 }
 
 // Pulse wakes exactly one waiter (FIFO order) if any is parked. It reports
