@@ -402,3 +402,30 @@ func TestHostSpinEventCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineProcCounts caps process spawns and cross-goroutine handoffs
+// (sim.Engine.Spawned/Handoffs), counts that do not depend on the
+// machine, on a CPU-driven and a GPU-driven 64 KiB ping-pong per fabric.
+// Spawns are dominated by per-operation NIC procs, handoffs by warp and
+// NIC wakeups; converting either to engine callbacks shows here. The
+// ceilings are 1.15x the measured counts.
+func TestEngineProcCounts(t *testing.T) {
+	for _, tc := range []struct {
+		kind              transport.Kind
+		mode              ControlMode
+		spawned, handoffs uint64
+	}{
+		{transport.KindExtoll, ExtHostControlled, 1048, 3129},
+		{transport.KindExtoll, ExtDirect, 1048, 170315},
+		{transport.KindIB, IBHostControlled, 528, 3649},
+		{transport.KindIB, IBBufOnGPU, 528, 5735},
+	} {
+		r := PingPong(cluster.Default(), tc.kind, tc.mode, 64<<10, 250, 10)
+		if limit := tc.spawned * 115 / 100; r.Spawned > limit {
+			t.Errorf("%v %v: %d procs spawned, ceiling %d", tc.kind, tc.mode, r.Spawned, limit)
+		}
+		if limit := tc.handoffs * 115 / 100; r.Handoffs > limit {
+			t.Errorf("%v %v: %d handoffs, ceiling %d", tc.kind, tc.mode, r.Handoffs, limit)
+		}
+	}
+}

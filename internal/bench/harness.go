@@ -271,6 +271,8 @@ func PingPong(p cluster.Params, kind transport.Kind, mode ControlMode, size, ite
 		PollTime: pollSum / sim.Duration(iters),
 		Counters: r.tb.A.GPU.Counters(),
 		Events:   r.tb.E.Executed(),
+		Spawned:  r.tb.E.Spawned(),
+		Handoffs: r.tb.E.Handoffs(),
 		Rel:      relCounters(r.tb),
 	}
 }

@@ -87,6 +87,10 @@ type Packet struct {
 	SrcNLA     NLA
 	DstNLA     NLA
 	Data       []byte
+	// Buf is the engine payload buffer backing Data on DMA-fetched puts
+	// and get responses; nil for immediate puts. The packet holds one
+	// reference until its completer write lands (see sim.Payload).
+	Buf *sim.Payload
 	// Seq sequences data packets when link reliability is on; link
 	// ACK/NAK packets carry the next expected Seq here.
 	Seq uint32
@@ -466,12 +470,12 @@ func (n *NIC) sendPut(p *sim.Proc, wr WR, peer int) {
 		n.writeErrNotif(wr.Port, wr.Size)
 		return
 	}
-	buf := make([]byte, wr.Size)
+	pl := n.e.NewPayload(wr.Size)
 	var fetch sim.SpanID
 	if n.e.Observing() {
 		fetch = n.e.SpanOpen(n.cfg.Name, "dma.fetch", sim.Attr{Key: "bytes", Val: int64(wr.Size)})
 	}
-	readDone := n.f.ReadBulkReserve(n.ep, src, buf)
+	readDone := n.f.ReadBulkReserve(n.ep, src, pl.B)
 	n.e.SpanCloseAt(fetch, readDone)
 	dpDone := n.datapath.Reserve(wr.Size + PktHeader)
 	ready := readDone
@@ -483,10 +487,12 @@ func (n *NIC) sendPut(p *sim.Proc, wr WR, peer int) {
 	}
 	pkt := Packet{
 		Kind: CmdPut, DstPort: peer, OriginPort: wr.Port,
-		Flags: wr.Flags, Size: wr.Size, DstNLA: NLA(wr.DstNLA), Data: buf,
+		Flags: wr.Flags, Size: wr.Size, DstNLA: NLA(wr.DstNLA), Data: pl.B, Buf: pl,
 	}
 	if n.rel == nil {
-		n.tx.SendAfter(pkt, wr.Size+PktHeader, ready)
+		if _, ok := n.tx.SendAfter(pkt, wr.Size+PktHeader, ready); !ok {
+			pl.Release()
+		}
 		// The DMA context stays busy until the data has left local memory.
 		p.SleepUntil(ready)
 	} else {
@@ -575,10 +581,11 @@ func (n *NIC) completePut(p *sim.Proc, pkt Packet) {
 		// the protection failure.
 		n.stats.TranslationErrs++
 		n.e.SpanClose(land)
+		pkt.Buf.Release()
 		return
 	}
 	p.SleepUntil(n.datapath.Reserve(pkt.Size))
-	n.e.SpanCloseAt(land, n.f.WriteBulk(p, n.ep, dst, pkt.Data))
+	n.e.SpanCloseAt(land, n.f.WritePayload(p, n.ep, dst, pkt.Data, pkt.Buf))
 	if pkt.Flags&FlagCompNotif != 0 {
 		n.writeNotif(pkt.DstPort, ClassCompleter, pkt.Size, uint64(pkt.DstNLA))
 	}
@@ -592,12 +599,12 @@ func (n *NIC) serveGet(p *sim.Proc, pkt Packet) {
 	if err != nil {
 		panic(fmt.Sprintf("extoll: %s: responder: %v", n.cfg.Name, err))
 	}
-	buf := make([]byte, pkt.Size)
+	pl := n.e.NewPayload(pkt.Size)
 	var fetch sim.SpanID
 	if n.e.Observing() {
 		fetch = n.e.SpanOpen(n.cfg.Name, "dma.fetch", sim.Attr{Key: "bytes", Val: int64(pkt.Size)})
 	}
-	readDone := n.f.ReadBulkReserve(n.ep, src, buf)
+	readDone := n.f.ReadBulkReserve(n.ep, src, pl.B)
 	n.e.SpanCloseAt(fetch, readDone)
 	dpDone := n.datapath.Reserve(pkt.Size + PktHeader)
 	ready := readDone
@@ -606,10 +613,12 @@ func (n *NIC) serveGet(p *sim.Proc, pkt Packet) {
 	}
 	resp := Packet{
 		Kind: pktGetResp, DstPort: pkt.OriginPort, OriginPort: pkt.DstPort,
-		Flags: pkt.Flags, Size: pkt.Size, DstNLA: pkt.DstNLA, Data: buf,
+		Flags: pkt.Flags, Size: pkt.Size, DstNLA: pkt.DstNLA, Data: pl.B, Buf: pl,
 	}
 	if n.rel == nil {
-		n.tx.SendAfter(resp, pkt.Size+PktHeader, ready)
+		if _, ok := n.tx.SendAfter(resp, pkt.Size+PktHeader, ready); !ok {
+			pl.Release()
+		}
 		p.SleepUntil(ready)
 	} else {
 		p.SleepUntil(ready)
@@ -657,7 +666,7 @@ func (n *NIC) completeGetResp(p *sim.Proc, pkt Packet) {
 		panic(fmt.Sprintf("extoll: %s: get completer: %v", n.cfg.Name, err))
 	}
 	p.SleepUntil(n.datapath.Reserve(pkt.Size))
-	n.e.SpanCloseAt(land, n.f.WriteBulk(p, n.ep, dst, pkt.Data))
+	n.e.SpanCloseAt(land, n.f.WritePayload(p, n.ep, dst, pkt.Data, pkt.Buf))
 	if pkt.Flags&FlagCompNotif != 0 && n.settleResponse(pkt.DstPort) {
 		n.writeNotif(pkt.DstPort, ClassCompleter, pkt.Size, uint64(pkt.DstNLA))
 	}

@@ -76,6 +76,10 @@ func newLinkRel(n *NIC) *linkRel {
 		Comp:      n.cfg.Name,
 		Label:     n.cfg.Name + " link",
 		SeqName:   "seq",
+
+		// The window entry's payload reference; a drained window's
+		// buffers are left to the garbage collector.
+		Released: func(en wire.Entry[Packet]) { en.Pkt.Buf.Release() },
 	})
 	return r
 }
@@ -157,6 +161,11 @@ func (n *NIC) linkAdmit(pkt Packet) bool {
 	case wire.Gap:
 		return false
 	}
+	// The accepted delivery holds its own payload reference until the
+	// completer write lands; the window keeps the sender's until the ACK.
+	// Retransmitted copies hold none: one arriving after the ACK is a
+	// Duplicate and its bytes are never read.
+	pkt.Buf.Hold()
 	r.Accept(false)
 	return true
 }

@@ -7,6 +7,10 @@ package gpusim
 // matching sectors (the hardware keeps L2 coherent with DMA), which is
 // exactly what makes device-memory polling work: polls hit in L2 until the
 // NIC delivers data, then one miss observes the new value.
+//
+// A set's ways are allocated on its first Access: a run touches a few
+// hundred sectors of a multi-megabyte cache, and a fresh set of invalid
+// ways behaves exactly like an eagerly zeroed one.
 type L2 struct {
 	sectorBytes uint64
 	numSets     uint64
@@ -31,15 +35,11 @@ func NewL2(capacity, assoc, sector int) *L2 {
 	if numSets < 1 {
 		numSets = 1
 	}
-	sets := make([][]l2line, numSets)
-	for i := range sets {
-		sets[i] = make([]l2line, assoc)
-	}
 	return &L2{
 		sectorBytes: uint64(sector),
 		numSets:     uint64(numSets),
 		assoc:       assoc,
-		sets:        sets,
+		sets:        make([][]l2line, numSets),
 	}
 }
 
@@ -49,6 +49,10 @@ func NewL2(capacity, assoc, sector int) *L2 {
 func (c *L2) Access(addr uint64, write bool) bool {
 	sector := addr / c.sectorBytes
 	set := c.sets[sector%c.numSets]
+	if set == nil {
+		set = make([]l2line, c.assoc)
+		c.sets[sector%c.numSets] = set
+	}
 	c.tick++
 	for i := range set {
 		if set[i].valid && set[i].tag == sector {
@@ -71,7 +75,8 @@ func (c *L2) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// InvalidateRange drops every sector overlapping [addr, addr+n).
+// InvalidateRange drops every sector overlapping [addr, addr+n). Sets
+// never accessed hold nothing to drop; a nil set ranges as empty.
 func (c *L2) InvalidateRange(addr uint64, n int) {
 	if n <= 0 {
 		return
@@ -88,7 +93,7 @@ func (c *L2) InvalidateRange(addr uint64, n int) {
 	}
 }
 
-// Flush invalidates the whole cache.
+// Flush invalidates the whole cache (nil sets range as empty).
 func (c *L2) Flush() {
 	for _, set := range c.sets {
 		for i := range set {

@@ -72,6 +72,11 @@ type Packet struct {
 	// (real IB's AtomicETH field).
 	Add  uint64
 	Data []byte
+	// Buf is the engine payload buffer backing Data on DMA-fetched
+	// requests and read responses; nil for inline data and atomics. The
+	// packet holds one reference until its completer write lands (see
+	// sim.Payload).
+	Buf *sim.Payload
 	// PSN sequences request packets when the reliability protocol is on;
 	// ACK/NAK packets carry the next expected PSN here, read responses the
 	// request PSN they answer.
@@ -545,6 +550,7 @@ func (h *HCA) execute(qp *QP, wqe WQE) {
 	h.stats.WQEsExecuted++
 	h.e.Spawn(fmt.Sprintf("%s.qp%d.tx", h.cfg.Name, qp.QPN), func(p *sim.Proc) {
 		var data []byte
+		var pl *sim.Payload
 		status := StatusOK
 		switch {
 		case wqe.Flags&FlagInline != 0:
@@ -568,7 +574,8 @@ func (h *HCA) execute(qp *QP, wqe WQE) {
 				h.stats.ProtectionErrs++
 				status = StatusErr
 			} else {
-				data = make([]byte, wqe.Length)
+				pl = h.e.NewPayload(wqe.Length)
+				data = pl.B
 				var fetch sim.SpanID
 				if h.e.Observing() {
 					fetch = h.e.SpanOpen(h.cfg.Name, "dma.fetch", sim.Attr{Key: "bytes", Val: int64(wqe.Length)})
@@ -585,7 +592,7 @@ func (h *HCA) execute(qp *QP, wqe WQE) {
 		if status == StatusOK {
 			pkt := Packet{
 				Opcode: wqe.Opcode, Flags: wqe.Flags, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN,
-				RAddr: wqe.RAddr, RKey: wqe.RKey, Imm: wqe.Imm, WRID: wqe.WRID, Data: data,
+				RAddr: wqe.RAddr, RKey: wqe.RKey, Imm: wqe.Imm, WRID: wqe.WRID, Data: data, Buf: pl,
 			}
 			wb := h.wireBytes(len(data))
 			if wqe.Opcode == OpRDMARead {
@@ -614,8 +621,8 @@ func (h *HCA) execute(qp *QP, wqe WQE) {
 					return
 				}
 				qp.rel.Send(pkt, wb, wqe.Length)
-			} else {
-				h.tx.Send(pkt, wb)
+			} else if _, ok := h.tx.Send(pkt, wb); !ok {
+				pl.Release()
 			}
 		}
 		sent.Complete()
@@ -688,6 +695,7 @@ func (h *HCA) receive(p *sim.Proc, pkt Packet) {
 	case OpRDMAWrite, OpRDMAWriteImm:
 		if _, ok := h.lookupRKey(pkt.RKey, pkt.RAddr, len(pkt.Data)); !ok {
 			h.stats.ProtectionErrs++
+			pkt.Buf.Release()
 			return
 		}
 		if len(pkt.Data) > 0 {
@@ -695,7 +703,7 @@ func (h *HCA) receive(p *sim.Proc, pkt Packet) {
 			if h.e.Observing() {
 				land = h.e.SpanOpen(h.cfg.Name, "complete", sim.Attr{Key: "bytes", Val: int64(len(pkt.Data))})
 			}
-			h.e.SpanCloseAt(land, h.f.WriteBulk(p, h.ep, memspace.Addr(pkt.RAddr), pkt.Data))
+			h.e.SpanCloseAt(land, h.f.WritePayload(p, h.ep, memspace.Addr(pkt.RAddr), pkt.Data, pkt.Buf))
 		}
 		if pkt.Opcode == OpRDMAWriteImm {
 			h.completeReceive(p, qp, pkt, 0)
@@ -724,17 +732,21 @@ func (h *HCA) serveRead(p *sim.Proc, qp *QP, pkt Packet) {
 		h.stats.ProtectionErrs++
 		return
 	}
-	data := make([]byte, length)
+	pl := h.e.NewPayload(length)
 	h.dmaSlots.Acquire(p)
-	h.f.ReadBulk(p, h.ep, memspace.Addr(pkt.RAddr), data)
+	h.f.ReadBulk(p, h.ep, memspace.Addr(pkt.RAddr), pl.B)
 	h.dmaSlots.Release()
 	h.stats.ReadsServed++
 	// The response echoes the request PSN: under the reliability protocol
-	// it doubles as a cumulative ACK through that PSN.
-	h.tx.Send(Packet{
+	// it doubles as a cumulative ACK through that PSN. It is never
+	// retransmitted (a lost one is re-served for the replayed request),
+	// so its single in-flight copy owns the payload.
+	if _, ok := h.tx.Send(Packet{
 		Opcode: opReadResp, Flags: pkt.Flags, SrcQPN: qp.QPN, DstQPN: pkt.SrcQPN,
-		LAddr: pkt.LAddr, WRID: pkt.WRID, Data: data, PSN: pkt.PSN,
-	}, h.wireBytes(length))
+		LAddr: pkt.LAddr, WRID: pkt.WRID, Data: pl.B, Buf: pl, PSN: pkt.PSN,
+	}, h.wireBytes(length)); !ok {
+		pl.Release()
+	}
 }
 
 // serveAtomic answers a remote fetch-and-add: an atomic read-modify-write
@@ -803,7 +815,7 @@ func (h *HCA) completeReadResp(p *sim.Proc, qp *QP, pkt Packet) {
 		if h.e.Observing() {
 			land = h.e.SpanOpen(h.cfg.Name, "complete", sim.Attr{Key: "bytes", Val: int64(len(pkt.Data))})
 		}
-		h.e.SpanCloseAt(land, h.f.WriteBulk(p, h.ep, memspace.Addr(pkt.LAddr), pkt.Data))
+		h.e.SpanCloseAt(land, h.f.WritePayload(p, h.ep, memspace.Addr(pkt.LAddr), pkt.Data, pkt.Buf))
 	}
 	if pkt.Flags&FlagSignaled != 0 {
 		qp.SendCQ.push(CQE{
@@ -841,9 +853,10 @@ func (h *HCA) completeReceive(p *sim.Proc, qp *QP, pkt Packet, useAddr int) {
 		if _, ok := h.lookupLKey(rwqe.LKey, rwqe.Addr, len(pkt.Data)); !ok {
 			h.stats.ProtectionErrs++
 			qp.RecvCQ.push(CQE{Opcode: pkt.Opcode, WRID: rwqe.WRID, QPN: qp.QPN, Status: StatusErr})
+			pkt.Buf.Release()
 			return
 		}
-		h.f.WriteBulk(p, h.ep, memspace.Addr(rwqe.Addr), pkt.Data)
+		h.f.WritePayload(p, h.ep, memspace.Addr(rwqe.Addr), pkt.Data, pkt.Buf)
 	}
 	qp.RecvCQ.push(CQE{
 		Opcode: pkt.Opcode, WRID: rwqe.WRID, ByteLen: len(pkt.Data),

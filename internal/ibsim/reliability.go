@@ -69,6 +69,9 @@ func newQPRel(h *HCA, qp *QP) *qpRel {
 		Exhausted: func() { h.fatalQP(qp, StatusRetryExc) },
 		Up:        func() bool { return qp.state == StateRTS },
 		Released: func(en wire.Entry[Packet]) {
+			// The window entry's payload reference goes; a drained or
+			// flushed window's buffers are left to the garbage collector.
+			en.Pkt.Buf.Release()
 			// Signaled writes and sends complete into the send CQ; reads
 			// and atomics complete when their response data lands.
 			r.rnrCount = 0
@@ -172,6 +175,11 @@ func (h *HCA) responderAdmit(p *sim.Proc, qp *QP, pkt Packet) bool {
 		h.tx.Send(Packet{Opcode: opRnrNak, SrcQPN: qp.QPN, DstQPN: qp.remoteQPN, PSN: pkt.PSN}, PktHeader)
 		return false
 	}
+	// The accepted delivery holds its own payload reference until the
+	// completer write lands; the window keeps the sender's until the ACK.
+	// Retransmitted copies hold none: one arriving after the ACK is a
+	// Duplicate and its bytes are never read.
+	pkt.Buf.Hold()
 	// The read/atomic response doubles as a cumulative ACK.
 	r.Accept(pkt.Opcode == OpRDMARead || pkt.Opcode == OpAtomicFAdd)
 	return true

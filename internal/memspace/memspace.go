@@ -46,12 +46,21 @@ type Memory interface {
 	Size() uint64
 }
 
-// ramPageShift sizes RAM pages at 64 KiB: large enough that page lookups
-// are rare in bulk copies, small enough that a testbed touching a few
-// buffers materializes megabytes, not the configured gigabytes.
+// RAM pages are 4 KiB, held in a two-level table: one pointer per 64 KiB
+// chunk, each chunk a block of 16 lazily allocated pages. Small pages keep
+// a run's scattered rings, flags and buffers from materializing 64 KiB
+// each; the chunk level keeps the table NewRAM allocates as small as one
+// pointer per 64 KiB of configured capacity.
 const (
-	ramPageShift = 16
-	ramPageSize  = 1 << ramPageShift
+	ramPageShift  = 12
+	ramPageSize   = 1 << ramPageShift
+	ramChunkShift = 16
+	ramChunkPages = 1 << (ramChunkShift - ramPageShift)
+)
+
+type (
+	ramPage  [ramPageSize]byte
+	ramChunk [ramChunkPages]*ramPage
 )
 
 // RAM is a byte-array memory device with copy-on-write pages: a page
@@ -61,15 +70,15 @@ const (
 // working set; allocating (and zeroing) the full span per experiment
 // cell dominated cell setup cost.
 type RAM struct {
-	name  string
-	size  uint64
-	pages [][]byte
+	name   string
+	size   uint64
+	chunks []*ramChunk
 }
 
 // NewRAM creates a RAM device of the given size. No page storage is
 // allocated until the first write.
 func NewRAM(name string, size uint64) *RAM {
-	return &RAM{name: name, size: size, pages: make([][]byte, (size+ramPageSize-1)>>ramPageShift)}
+	return &RAM{name: name, size: size, chunks: make([]*ramChunk, (size+1<<ramChunkShift-1)>>ramChunkShift)}
 }
 
 // Name implements Memory.
@@ -78,6 +87,29 @@ func (r *RAM) Name() string { return r.name }
 // Size implements Memory.
 func (r *RAM) Size() uint64 { return r.size }
 
+// page returns the page holding off, or nil when it was never written.
+func (r *RAM) page(off uint64) *ramPage {
+	if c := r.chunks[off>>ramChunkShift]; c != nil {
+		return c[off>>ramPageShift&(ramChunkPages-1)]
+	}
+	return nil
+}
+
+// writablePage returns the page holding off, materializing it (and its
+// chunk) on first touch.
+func (r *RAM) writablePage(off uint64) *ramPage {
+	c := r.chunks[off>>ramChunkShift]
+	if c == nil {
+		c = new(ramChunk)
+		r.chunks[off>>ramChunkShift] = c
+	}
+	pg := &c[off>>ramPageShift&(ramChunkPages-1)]
+	if *pg == nil {
+		*pg = new(ramPage)
+	}
+	return *pg
+}
+
 // ReadAt implements Memory.
 func (r *RAM) ReadAt(off uint64, b []byte) error {
 	if off+uint64(len(b)) > r.size || off+uint64(len(b)) < off {
@@ -85,11 +117,8 @@ func (r *RAM) ReadAt(off uint64, b []byte) error {
 	}
 	for len(b) > 0 {
 		po := off & (ramPageSize - 1)
-		n := uint64(ramPageSize - po)
-		if uint64(len(b)) < n {
-			n = uint64(len(b))
-		}
-		if pg := r.pages[off>>ramPageShift]; pg != nil {
+		n := min(uint64(ramPageSize-po), uint64(len(b)))
+		if pg := r.page(off); pg != nil {
 			copy(b[:n], pg[po:])
 		} else {
 			clear(b[:n]) // untouched page: the bytes are zero
@@ -114,7 +143,7 @@ func (r *RAM) readWord(off uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	pg := r.pages[off>>ramPageShift]
+	pg := r.page(off)
 	if pg == nil {
 		return 0, true
 	}
@@ -127,11 +156,7 @@ func (r *RAM) writeWord(off uint64, v uint64) bool {
 	if !ok {
 		return false
 	}
-	pi := off >> ramPageShift
-	if r.pages[pi] == nil {
-		r.pages[pi] = make([]byte, ramPageSize)
-	}
-	binary.LittleEndian.PutUint64(r.pages[pi][po:], v)
+	binary.LittleEndian.PutUint64(r.writablePage(off)[po:], v)
 	return true
 }
 
@@ -141,16 +166,9 @@ func (r *RAM) WriteAt(off uint64, b []byte) error {
 		return fmt.Errorf("memspace: %s: write [%#x,%#x) out of bounds (size %#x)", r.name, off, off+uint64(len(b)), r.size)
 	}
 	for len(b) > 0 {
-		pi := off >> ramPageShift
 		po := off & (ramPageSize - 1)
-		n := uint64(ramPageSize - po)
-		if uint64(len(b)) < n {
-			n = uint64(len(b))
-		}
-		if r.pages[pi] == nil {
-			r.pages[pi] = make([]byte, ramPageSize)
-		}
-		copy(r.pages[pi][po:], b[:n])
+		n := min(uint64(ramPageSize-po), uint64(len(b)))
+		copy(r.writablePage(off)[po:], b[:n])
 		b = b[n:]
 		off += n
 	}

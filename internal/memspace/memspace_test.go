@@ -2,6 +2,7 @@ package memspace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -185,4 +186,93 @@ func TestWordAccessDoesNotAllocate(t *testing.T) {
 	if err := s.WriteU64(0x1000+4*ramPageSize-4, 1); err == nil {
 		t.Error("expected a word write running past the end to fail")
 	}
+}
+
+// TestRAMPageAndChunkBoundaries writes words and byte ranges that
+// straddle 4 KiB page and 64 KiB chunk boundaries, and checks every byte
+// against a flat reference slice, so untouched pages (and untouched parts
+// of touched ones) must read as zeros.
+func TestRAMPageAndChunkBoundaries(t *testing.T) {
+	const size = 3*(1<<ramChunkShift) + 5*ramPageSize + 123 // not a page multiple
+	s := NewSpace()
+	s.MustMap(0x10000, NewRAM("r", size))
+	ref := make([]byte, size)
+	word := func(off uint64, v uint64) {
+		if err := s.WriteU64(Addr(0x10000+off), v); err != nil {
+			t.Fatalf("WriteU64(+%#x): %v", off, err)
+		}
+		for i := 0; i < 8; i++ {
+			ref[off+uint64(i)] = byte(v >> (8 * i))
+		}
+	}
+	bulk := func(off uint64, n int, fill byte) {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = fill + byte(i)
+		}
+		if err := s.Write(Addr(0x10000+off), b); err != nil {
+			t.Fatalf("Write(+%#x, %d): %v", off, n, err)
+		}
+		copy(ref[off:], b)
+	}
+	word(ramPageSize-8, 0x0102030405060708)                   // last word of a page
+	word(2*ramPageSize-4, 0x1112131415161718)                 // straddles pages 1|2
+	word(1<<ramChunkShift-3, 0x2122232425262728)              // straddles chunks 0|1
+	word(2<<ramChunkShift, 0x3132333435363738)                // first word of chunk 2
+	bulk(1<<ramChunkShift-100, 200, 0x40)                     // bytes across chunks 0|1
+	bulk(2<<ramChunkShift-ramPageSize-7, 3*ramPageSize, 0x80) // pages and a chunk edge
+	word(size-8, 0x4142434445464748)                          // last word of the device
+	bulk(size-50, 50, 0xC0)                                   // tail of the partial page
+
+	got := make([]byte, size)
+	if err := s.Read(0x10000, got); err != nil {
+		t.Fatal(err)
+	}
+	if i := firstDiff(got, ref); i >= 0 {
+		t.Fatalf("byte +%#x = %#x, want %#x", i, got[i], ref[i])
+	}
+	for _, off := range []uint64{ramPageSize - 8, 2*ramPageSize - 4, 1<<ramChunkShift - 3, 2 << ramChunkShift, size - 8, 3 << ramChunkShift} {
+		v, err := s.ReadU64(Addr(0x10000 + off))
+		if want := binary.LittleEndian.Uint64(ref[off:]); err != nil || v != want {
+			t.Errorf("ReadU64(+%#x) = %#x, %v; want %#x", off, v, err, want)
+		}
+	}
+	if _, err := s.ReadU64(Addr(0x10000 + size - 7)); err == nil {
+		t.Error("a word running past a partial last page must fail")
+	}
+	if err := s.Write(Addr(0x10000+size-1), []byte{1, 2}); err == nil {
+		t.Error("a write running past a partial last page must fail")
+	}
+}
+
+// TestRAMUntouchedReadsZero reads whole never-written chunks and pages,
+// including ones beside written pages, and expects zeros.
+func TestRAMUntouchedReadsZero(t *testing.T) {
+	r := NewRAM("r", 4<<ramChunkShift)
+	if err := r.WriteAt(1<<ramChunkShift+ramPageSize, []byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ off, n uint64 }{
+		{0, 1 << ramChunkShift},                               // untouched chunk
+		{1 << ramChunkShift, ramPageSize},                     // untouched page of a touched chunk
+		{1<<ramChunkShift + ramPageSize + 1, ramPageSize - 1}, // rest of the touched page
+		{3 << ramChunkShift, 1 << ramChunkShift},              // last chunk
+	} {
+		b := bytes.Repeat([]byte{0xAA}, int(c.n))
+		if err := r.ReadAt(c.off, b); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(b, make([]byte, c.n)); i >= 0 {
+			t.Fatalf("untouched byte +%#x = %#x, want 0", c.off+uint64(i), b[i])
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }

@@ -363,7 +363,16 @@ func (f *Fabric) ReadBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []
 // engine is busy that long). The functional write and inbound-write hook
 // fire once, at the returned delivery time of the final chunk.
 func (f *Fabric) WriteBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, data []byte) sim.Time {
+	return f.WritePayload(p, src, addr, data, nil)
+}
+
+// WritePayload is WriteBulk for bytes the caller holds one reference of
+// through pl (nil: bytes the payload pool did not hand out). The write
+// holds data until its functional copy into memory at the delivery time,
+// so the reference is released right after that copy.
+func (f *Fabric) WritePayload(p *sim.Proc, src *Endpoint, addr memspace.Addr, data []byte, pl *sim.Payload) sim.Time {
 	if len(data) == 0 {
+		pl.Release()
 		return f.e.Now()
 	}
 	o := f.owner(addr)
@@ -377,7 +386,10 @@ func (f *Fabric) WriteBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, data 
 	}
 	src.lastDeliver = deliver
 	posted := f.e.Now()
-	f.e.At(deliver, func() { f.deliverWrite(o, addr, data, posted) })
+	f.e.At(deliver, func() {
+		f.deliverWrite(o, addr, data, posted)
+		pl.Release()
+	})
 	p.SleepUntil(sent)
 	return deliver
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -142,6 +143,8 @@ type Engine struct {
 	events   []event
 	seq      uint64
 	executed uint64
+	spawned  uint64 // processes ever spawned
+	handoffs uint64 // resumes that switched goroutines
 
 	// timers backs cancellable events: slot i holds the heap position of
 	// the event AtTimer armed (or -1 once it fired or was cancelled) plus
@@ -164,6 +167,13 @@ type Engine struct {
 	procs   int // live (not yet finished) processes
 	live    map[*Proc]struct{}
 	stopped bool
+
+	payloads payloadPool // free DMA payload buffers (see Payload)
+
+	// exited counts proc goroutines that have not yet returned; unlike
+	// procs it drops only once a goroutine has finished all its work,
+	// including Shutdown's kill handshake.
+	exited sync.WaitGroup
 
 	// id names the engine in affinity diagnostics; dead marks an engine
 	// whose simulation was torn down by Shutdown. busy detects concurrent
@@ -302,6 +312,7 @@ func (e *Engine) Shutdown() {
 		<-e.mainWake // the dying process hands control back
 	}
 	e.live = map[*Proc]struct{}{}
+	e.payloads.free = [payloadClasses][]*Payload{}
 	e.events = nil
 	e.timers = nil
 	e.freeT = nil
@@ -494,5 +505,19 @@ func (e *Engine) Pending() int { return len(e.events) }
 // benchmarks divide it by wall time).
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// Spawned reports the number of processes ever spawned on the engine.
+func (e *Engine) Spawned() uint64 { return e.spawned }
+
+// Handoffs reports the number of process resumes that switched
+// goroutines. A process woken while its own goroutine carries the event
+// loop (a self-wake) resumes with a flag store and is not counted.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
+
 // Live reports the number of processes that have started but not finished.
 func (e *Engine) Live() int { return e.procs }
+
+// WaitExited blocks until the goroutine of every process spawned on e has
+// returned. Call it after Shutdown (or once every process has finished):
+// Shutdown's handshake hands control back before a killed goroutine has
+// exited, so only this wait makes "no goroutine left" observable.
+func (e *Engine) WaitExited() { e.exited.Wait() }

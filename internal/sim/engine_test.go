@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -283,13 +284,22 @@ func TestShutdownReleasesParkedGoroutines(t *testing.T) {
 			t.Fatalf("Live = %d after Shutdown", e.Live())
 		}
 	}
-	// Give the runtime a moment to reap.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before+20; i++ {
-		runtime.Gosched()
-	}
-	after := runtime.NumGoroutine()
-	if after > before+20 {
-		t.Fatalf("goroutines leaked after Shutdown: %d -> %d -> %d", before, mid, after)
+	// Shutdown's handshake returns before a killed goroutine has exited,
+	// and runtime.NumGoroutine is not synchronized with goroutine exit
+	// (it read 33 with every proc goroutine gone), so the test waits on
+	// the engines' own exit accounting instead: every proc goroutine must
+	// return. A leaked one fails at the deadline instead of hanging.
+	exited := make(chan struct{})
+	go func() {
+		for _, e := range engines {
+			e.WaitExited()
+		}
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("proc goroutines still running 10s after Shutdown (%d -> %d goroutines)", before, mid)
 	}
 }
 
@@ -392,5 +402,36 @@ func TestEngineLoopsDoNotAllocate(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
 		}
+	}
+}
+
+// TestSpawnAndHandoffCounts pins the engine's proc counters: a lone
+// process that sleeps wakes itself (its own goroutine carries the event
+// loop), so only its start is a handoff; two processes taking turns
+// hand the simulation across goroutines on every wake.
+func TestSpawnAndHandoffCounts(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("lone", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(10)
+		}
+	})
+	e.Run()
+	if e.Spawned() != 1 || e.Handoffs() != 1 {
+		t.Fatalf("lone sleeper: spawned %d, handoffs %d; want 1, 1", e.Spawned(), e.Handoffs())
+	}
+
+	e = NewEngine()
+	for i := 0; i < 2; i++ {
+		d := Duration(10 + i) // the two wake at interleaved instants
+		e.Spawn("turn", func(p *Proc) {
+			for j := 0; j < 5; j++ {
+				p.SleepUntil(Time(j+1) * Time(d*2))
+			}
+		})
+	}
+	e.Run()
+	if e.Spawned() != 2 || e.Handoffs() < 10 {
+		t.Fatalf("alternating pair: spawned %d, handoffs %d; want 2, at least 10", e.Spawned(), e.Handoffs())
 	}
 }

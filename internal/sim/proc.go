@@ -66,9 +66,12 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, wake: make(chan uint8)}
 	p.resumeF = p.resume
 	e.procs++
+	e.spawned++
 	e.live[p] = struct{}{}
+	e.exited.Add(1)
 	//putget:allow engineaffinity -- this IS sim.Proc: the one goroutine birth in the sim domain; the engine serializes it via the carrier handoff
 	go func() {
+		defer e.exited.Done() // runs last, after any handshake send
 		defer func() {
 			if r := recover(); r != nil && r != procKilled {
 				panic(r)
@@ -122,6 +125,7 @@ func (p *Proc) resume() {
 		return
 	}
 	e.carrier = p
+	e.handoffs++
 	p.wake <- wakeResume
 	if c == nil {
 		// We are the Run caller: blocked until the loop finishes (a
