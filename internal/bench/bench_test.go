@@ -378,13 +378,13 @@ func TestModernShrinksGPUGap(t *testing.T) {
 }
 
 // TestMessageRateCellAllocs guards the EXTOLL hostControlled 32x80
-// message-rate cell on allocs/op. The ceiling is 1.15x the measured
-// count.
+// message-rate cell on allocs/op. The ceiling is 1.15x the count
+// measured with the NIC pipelines as engine callbacks.
 func TestMessageRateCellAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(1, func() {
 		ExtollMessageRate(cluster.Default(), RateHostControlled, 32, 80)
 	})
-	if limit := 1.15 * 73262; got > limit {
+	if limit := 1.15 * 15939; got > limit {
 		t.Errorf("msgrate/extoll: %.0f allocs/op, ceiling %.0f", got, limit)
 	}
 }
@@ -406,19 +406,22 @@ func TestHostSpinEventCounts(t *testing.T) {
 // TestEngineProcCounts caps process spawns and cross-goroutine handoffs
 // (sim.Engine.Spawned/Handoffs), counts that do not depend on the
 // machine, on a CPU-driven and a GPU-driven 64 KiB ping-pong per fabric.
-// Spawns are dominated by per-operation NIC procs, handoffs by warp and
-// NIC wakeups; converting either to engine callbacks shows here. The
-// ceilings are 1.15x the measured counts.
+// The NIC pipelines are engine callbacks, so only software spawns: the
+// ping-pong's CPU threads or warps, the same number for 10 exchanges as
+// for 260. Handoffs are dominated by warp and CPU-thread wakeups. The
+// ceilings are 1.15x the measured counts. Executed events are pinned
+// exactly: the callbacks schedule every event a process per pipeline
+// stage did, in the same order.
 func TestEngineProcCounts(t *testing.T) {
 	for _, tc := range []struct {
-		kind              transport.Kind
-		mode              ControlMode
-		spawned, handoffs uint64
+		kind                      transport.Kind
+		mode                      ControlMode
+		spawned, handoffs, events uint64
 	}{
-		{transport.KindExtoll, ExtHostControlled, 1048, 3129},
-		{transport.KindExtoll, ExtDirect, 1048, 170315},
-		{transport.KindIB, IBHostControlled, 528, 3649},
-		{transport.KindIB, IBBufOnGPU, 528, 5735},
+		{transport.KindExtoll, ExtHostControlled, 4, 525, 14568},
+		{transport.KindExtoll, ExtDirect, 4, 103837, 627265},
+		{transport.KindIB, IBHostControlled, 4, 2085, 13008},
+		{transport.KindIB, IBBufOnGPU, 4, 531, 696292},
 	} {
 		r := PingPong(cluster.Default(), tc.kind, tc.mode, 64<<10, 250, 10)
 		if limit := tc.spawned * 115 / 100; r.Spawned > limit {
@@ -426,6 +429,13 @@ func TestEngineProcCounts(t *testing.T) {
 		}
 		if limit := tc.handoffs * 115 / 100; r.Handoffs > limit {
 			t.Errorf("%v %v: %d handoffs, ceiling %d", tc.kind, tc.mode, r.Handoffs, limit)
+		}
+		if r.Events != tc.events {
+			t.Errorf("%v %v: %d events executed, want %d", tc.kind, tc.mode, r.Events, tc.events)
+		}
+		if short := PingPong(cluster.Default(), tc.kind, tc.mode, 64<<10, 5, 5); short.Spawned != r.Spawned {
+			t.Errorf("%v %v: %d procs spawned for 10 exchanges, %d for 260: a per-operation spawn",
+				tc.kind, tc.mode, short.Spawned, r.Spawned)
 		}
 	}
 }

@@ -168,10 +168,13 @@ func DecodeRecvWQE(buf []byte) (RecvWQE, error) {
 // CQE statuses. Numeric values follow enum ibv_wc_status.
 const (
 	StatusOK       = 0
-	StatusErr      = 1  // generic local error (IBV_WC_LOC_QP_OP_ERR territory)
-	StatusFlushErr = 5  // IBV_WC_WR_FLUSH_ERR: WQE flushed on an ERR/RESET QP
-	StatusRetryExc = 12 // IBV_WC_RETRY_EXC_ERR: transport retries exhausted
-	StatusRnrExc   = 13 // IBV_WC_RNR_RETRY_EXC_ERR: RNR retries exhausted
+	StatusErr      = 1 // generic local error (IBV_WC_LOC_QP_OP_ERR territory)
+	StatusFlushErr = 5 // IBV_WC_WR_FLUSH_ERR: WQE flushed on an ERR/RESET QP
+	// StatusRemAccessErr is IBV_WC_REM_ACCESS_ERR: the responder refused
+	// a read or atomic whose rkey check failed.
+	StatusRemAccessErr = 10
+	StatusRetryExc     = 12 // IBV_WC_RETRY_EXC_ERR: transport retries exhausted
+	StatusRnrExc       = 13 // IBV_WC_RNR_RETRY_EXC_ERR: RNR retries exhausted
 )
 
 // CQE is a decoded completion-queue element.

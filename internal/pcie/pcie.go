@@ -132,6 +132,8 @@ type Fabric struct {
 	faults        Faults
 	replayPenalty sim.Duration
 	replays       uint64
+
+	readFree []*readOp // idle read ops (see ReadFunc)
 }
 
 // SetFaults installs a fault injector on the bulk DMA path. Drop and
@@ -283,21 +285,71 @@ func (f *Fabric) FlushWrites(p *sim.Proc, src *Endpoint) {
 // the control-path primitive (notification polls, CQ polls, register
 // reads). The initiator observes the full round trip.
 func (f *Fabric) Read(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []byte) {
+	f.ReadFunc(src, addr, buf, p.WakeFunc())
+	p.Await()
+}
+
+// ReadFunc is the callback form of Read: it starts the read and calls
+// done from the event that completes the round trip, when buf holds the
+// data.
+func (f *Fabric) ReadFunc(src *Endpoint, addr memspace.Addr, buf []byte, done func()) {
 	o := f.owner(addr)
 	src.stats.Reads++
 	src.stats.BytesRead += uint64(len(buf))
 	if f.e.Traced() {
 		f.e.Tracev("pcie", "read", "pcie: %s reads %dB from %s @%#x", src.name, len(buf), o.ep.name, uint64(addr))
 	}
+	r := f.newReadOp()
+	r.src, r.o, r.addr, r.buf, r.done = src, o, addr, buf, done
 	// Request TLP on our egress; reads do not pass earlier writes.
-	src.egress.Transfer(p, TLPHeader)
-	p.Sleep(flight(src, o.ep))
-	p.Sleep(o.ep.cfg.ReadLatency)
-	f.serveRead(o, addr, buf)
-	// Response serialization on the target's egress, then flight back.
-	done := o.ep.egress.Reserve(len(buf) + TLPHeader)
-	p.SleepUntil(done)
-	p.Sleep(flight(o.ep, src))
+	r.At(src.egress.Reserve(TLPHeader), (*readOp).flown)
+}
+
+// readOp is one non-posted read in flight: the round trip's stages run as
+// engine events, each scheduled exactly when the blocking form of the
+// same stage would sleep. Ops are pooled per fabric, so a read allocates
+// nothing.
+type readOp struct {
+	sim.Step[*readOp]
+	f    *Fabric
+	src  *Endpoint
+	o    *ownerEntry
+	addr memspace.Addr
+	buf  []byte
+	done func()
+}
+
+func (f *Fabric) newReadOp() *readOp {
+	if k := len(f.readFree); k > 0 {
+		r := f.readFree[k-1]
+		f.readFree = f.readFree[:k-1]
+		return r
+	}
+	r := &readOp{f: f}
+	r.Init(f.e, r)
+	return r
+}
+
+// flown: the request TLP has left src and crosses the fabric; the target
+// begins serving after its internal read latency.
+func (r *readOp) flown()   { r.After(flight(r.src, r.o.ep), (*readOp).arrived) }
+func (r *readOp) arrived() { r.After(r.o.ep.cfg.ReadLatency, (*readOp).served) }
+
+// served: the data is read and serialized on the target's egress, then
+// flies back to src.
+func (r *readOp) served() {
+	r.f.serveRead(r.o, r.addr, r.buf)
+	r.At(r.o.ep.egress.Reserve(len(r.buf)+TLPHeader), (*readOp).responded)
+}
+
+func (r *readOp) responded() { r.After(flight(r.o.ep, r.src), (*readOp).finish) }
+
+// finish recycles the op, then hands the data to the initiator.
+func (r *readOp) finish() {
+	done := r.done
+	*r = readOp{Step: r.Step, f: r.f}
+	r.f.readFree = append(r.f.readFree, r)
+	done()
 }
 
 func (f *Fabric) serveRead(o *ownerEntry, addr memspace.Addr, buf []byte) {
@@ -371,16 +423,28 @@ func (f *Fabric) WriteBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, data 
 // holds data until its functional copy into memory at the delivery time,
 // so the reference is released right after that copy.
 func (f *Fabric) WritePayload(p *sim.Proc, src *Endpoint, addr memspace.Addr, data []byte, pl *sim.Payload) sim.Time {
+	sent, deliver := f.WritePayloadReserve(src, addr, data, pl)
+	if len(data) > 0 {
+		p.SleepUntil(sent)
+	}
+	return deliver
+}
+
+// WritePayloadReserve is the non-blocking form of WritePayload: it books
+// the write train and returns when src's egress finishes serializing it
+// (the blocking form sleeps until then; a DMA engine stays busy that
+// long) and when it lands. Empty data is released and returns now twice.
+func (f *Fabric) WritePayloadReserve(src *Endpoint, addr memspace.Addr, data []byte, pl *sim.Payload) (sent, deliver sim.Time) {
 	if len(data) == 0 {
 		pl.Release()
-		return f.e.Now()
+		return f.e.Now(), f.e.Now()
 	}
 	o := f.owner(addr)
 	src.stats.PostedWrites++
 	src.stats.BytesWritten += uint64(len(data))
-	sent := src.egress.Reserve(wireBytes(len(data)))
+	sent = src.egress.Reserve(wireBytes(len(data)))
 	sent = sent.Add(f.faultDelay(sent, wireBytes(len(data))))
-	deliver := sent.Add(flight(src, o.ep))
+	deliver = sent.Add(flight(src, o.ep))
 	if deliver < src.lastDeliver {
 		deliver = src.lastDeliver
 	}
@@ -390,6 +454,5 @@ func (f *Fabric) WritePayload(p *sim.Proc, src *Endpoint, addr memspace.Addr, da
 		f.deliverWrite(o, addr, data, posted)
 		pl.Release()
 	})
-	p.SleepUntil(sent)
-	return deliver
+	return sent, deliver
 }

@@ -331,7 +331,9 @@ func TestEngineUsableForInspectionAfterShutdown(t *testing.T) {
 // TestEngineLoopsDoNotAllocate pins the engine's hot paths at zero
 // allocations per op: schedule+dispatch of one event, timer arm/cancel
 // churn (the KV coordinator's deadline pattern), one
-// engine→proc→engine handoff, and Signal Wait/WaitUntil/Broadcast parks.
+// engine→proc→engine handoff, Signal Wait/WaitUntil/Broadcast parks,
+// Pulse wakes and contended Resource Acquire/Release — the last two with
+// a process and a callback in each wait queue.
 func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	fn := func() {}
 
@@ -395,10 +397,67 @@ func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	}
 	signal()
 
+	// One pulse round: a process and a callback wait on the signal and
+	// wait again each time a Pulse wakes them.
+	pul := NewEngine()
+	defer pul.Shutdown()
+	ps := NewSignal(pul)
+	pul.Spawn("waiter", func(p *Proc) {
+		for {
+			ps.Wait(p)
+		}
+	})
+	var rewait func()
+	rewait = func() { ps.WaitFunc(rewait) }
+	rewait()
+	pul.Spawn("pulser", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			ps.Pulse()
+		}
+	})
+	pul.RunUntil(0)
+	var pulTick Time
+	pulse := func() {
+		pulTick += 2
+		pul.RunUntil(pulTick)
+	}
+	pulse()
+
+	// One contended resource round: two processes and a callback take
+	// turns holding a single unit for one tick each.
+	res := NewEngine()
+	defer res.Shutdown()
+	r := NewResource(res, 1)
+	for i := 0; i < 2; i++ {
+		res.Spawn("holder", func(p *Proc) {
+			for {
+				r.Use(p, 1)
+			}
+		})
+	}
+	var hold, release func()
+	hold = func() { res.After(1, release) }
+	release = func() {
+		r.Release()
+		r.AcquireFunc(hold)
+	}
+	r.AcquireFunc(hold)
+	res.RunUntil(0)
+	var resTick Time
+	contend := func() {
+		resTick += 3
+		res.RunUntil(resTick)
+	}
+	contend()
+
 	for _, tc := range []struct {
 		name string
 		op   func()
-	}{{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}, {"signal", signal}} {
+	}{
+		{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}, {"signal", signal},
+		{"pulse", pulse}, {"resource", contend},
+	} {
 		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
 		}

@@ -218,6 +218,18 @@ func (p *Proc) SleepUntil(t Time) {
 	p.park()
 }
 
+// WakeFunc returns p's wake callback, for handing p's continuation to a
+// callback-form operation that Await then waits for. The operation must
+// call it exactly once, from an event it scheduled — never before it
+// returns to p — so a blocking API and its callback form share one
+// implementation, event for event.
+func (p *Proc) WakeFunc() func() { return p.resumeF }
+
+// Await parks p until its WakeFunc runs.
+//
+//putget:hot
+func (p *Proc) Await() { p.park() }
+
 // Yield lets all other events scheduled for the current instant run before
 // the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }

@@ -2,11 +2,12 @@ package sim
 
 // Resource is a counting semaphore with FIFO admission, used to model
 // exclusive or limited hardware units (an SM issue port, a DMA engine).
+// Processes block in Acquire; engine callbacks queue with AcquireFunc.
 type Resource struct {
 	e     *Engine
 	cap   int
 	inUse int
-	queue []*Proc
+	queue []func() // wake callbacks of blocked acquirers, FIFO
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -25,9 +26,24 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.queue = append(r.queue, p)
+	r.queue = append(r.queue, p.resumeF)
 	p.park()
 	// Ownership was transferred by Release before the wakeup.
+}
+
+// AcquireFunc is the callback form of Acquire: fn runs once a unit is
+// held — at once when one is free and nobody queues ahead, else as the
+// event Release schedules when it hands a unit over. Build fn once (a
+// method value kept by its owner) so acquiring does not allocate.
+//
+//putget:hot
+func (r *Resource) AcquireFunc(fn func()) {
+	if r.inUse < r.cap && len(r.queue) == 0 {
+		r.inUse++
+		fn()
+		return
+	}
+	r.queue = append(r.queue, fn)
 }
 
 // TryAcquire acquires a unit without blocking; reports success.
@@ -39,18 +55,22 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Release returns one unit. If a process is queued, ownership passes
-// directly to the head of the queue.
+// Release returns one unit. If an acquirer is queued, ownership passes
+// directly to the head of the queue. The queue shifts down in place,
+// keeping its backing array, so a contended resource stops allocating.
+//
+//putget:hot
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource")
 	}
-	if len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue[0] = nil // do not retain the departing proc
-		r.queue = r.queue[1:]
+	if q := r.queue; len(q) > 0 {
+		w := q[0]
+		n := copy(q, q[1:])
+		q[n] = nil // do not retain the departing waiter
+		r.queue = q[:n]
 		// inUse stays: the unit transfers to w.
-		r.e.At(r.e.now, w.resumeF)
+		r.e.At(r.e.now, w)
 		return
 	}
 	r.inUse--
@@ -59,7 +79,7 @@ func (r *Resource) Release() {
 // InUse reports the number of held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of blocked acquirers.
+// QueueLen reports the number of queued acquirers.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // Use acquires the resource, holds it for d, then releases it.

@@ -1,20 +1,21 @@
 package sim
 
-// Signal is a broadcast condition variable for processes. Wait parks the
-// calling process; Broadcast wakes every waiter at the current instant (in
-// wait order). There is no spurious wakeup: a waiter resumes only after a
-// Broadcast/Pulse that happened after its Wait began.
+// Signal is a broadcast condition variable. Wait parks the calling
+// process and WaitFunc queues a callback; Broadcast wakes every waiter at
+// the current instant (in wait order). There is no spurious wakeup: a
+// waiter resumes only after a Broadcast/Pulse that happened after its
+// Wait began.
 type Signal struct {
 	e       *Engine
 	waiters []waiter
 }
 
-// waiter is one parked process plus the deadline timer a WaitUntil armed
-// (the zero Timer for plain Waits). Waking a waiter cancels its timer, so
-// a timed wait that the signal satisfies leaves nothing in the event
-// queue — previously the dead deadline event lingered until its instant,
-// retaining the *Proc and inflating Pending.
+// waiter is one wake callback — a parked process's resume, or a
+// WaitFunc callback (p nil) — plus the deadline timer a WaitUntil armed
+// (the zero Timer otherwise). Waking a waiter cancels its timer, so a
+// timed wait that the signal satisfies leaves nothing in the event queue.
 type waiter struct {
+	wake  func()
 	p     *Proc
 	timer Timer
 }
@@ -28,8 +29,17 @@ func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
 //putget:hot
 func (s *Signal) Wait(p *Proc) {
 	s.e.mustOwn(p, "Signal.Wait")
-	s.waiters = append(s.waiters, waiter{p: p})
+	s.waiters = append(s.waiters, waiter{wake: p.resumeF, p: p})
 	p.park()
+}
+
+// WaitFunc is the callback form of Wait: fn runs as an event at the
+// instant of the next Broadcast, or of a Pulse that selects it. Build fn
+// once (a method value kept by its owner) so waiting does not allocate.
+//
+//putget:hot
+func (s *Signal) WaitFunc(fn func()) {
+	s.waiters = append(s.waiters, waiter{wake: fn})
 }
 
 // Broadcast schedules every current waiter to resume at the present time.
@@ -43,7 +53,7 @@ func (s *Signal) Broadcast() {
 	ws := s.waiters
 	for i := range ws {
 		ws[i].timer.Cancel()
-		s.e.At(s.e.now, ws[i].p.resumeF)
+		s.e.At(s.e.now, ws[i].wake)
 	}
 	clear(ws)
 	s.waiters = ws[:0]
@@ -70,7 +80,7 @@ func (s *Signal) WaitUntil(p *Proc, deadline Time) bool {
 	}
 	p.waitSig, p.timedOut = s, false
 	tm := s.e.AtTimer(deadline, p.timeoutF)
-	s.waiters = append(s.waiters, waiter{p: p, timer: tm})
+	s.waiters = append(s.waiters, waiter{wake: p.resumeF, p: p, timer: tm})
 	p.park()
 	p.waitSig = nil
 	return !p.timedOut
@@ -96,24 +106,29 @@ func (p *Proc) waitTimeout() {
 }
 
 // Pulse wakes exactly one waiter (FIFO order) if any is parked. It reports
-// whether a waiter was woken.
+// whether a waiter was woken. The queue shifts down in place, keeping its
+// backing array, so a signal pulsed in a loop stops allocating.
+//
+//putget:hot
 func (s *Signal) Pulse() bool {
-	if len(s.waiters) == 0 {
+	ws := s.waiters
+	if len(ws) == 0 {
 		return false
 	}
-	w := s.waiters[0]
-	s.waiters[0] = waiter{}
-	s.waiters = s.waiters[1:]
+	w := ws[0]
+	n := copy(ws, ws[1:])
+	ws[n] = waiter{}
+	s.waiters = ws[:n]
 	w.timer.Cancel()
-	s.e.At(s.e.now, w.p.resumeF)
+	s.e.At(s.e.now, w.wake)
 	return true
 }
 
-// Waiting reports the number of parked processes.
+// Waiting reports the number of queued waiters.
 func (s *Signal) Waiting() int { return len(s.waiters) }
 
-// Completion is a one-shot event carrying a completion time. Processes can
-// wait for it; completing it more than once panics.
+// Completion is a one-shot event carrying a completion time. Processes
+// and callbacks can wait for it; completing it more than once panics.
 type Completion struct {
 	e      *Engine
 	done   bool
@@ -150,4 +165,23 @@ func (c *Completion) Wait(p *Proc) {
 		return
 	}
 	c.signal.Wait(p)
+}
+
+// WaitFunc is the callback form of Wait: fn runs at once if the
+// completion has resolved, else as an event at the instant it resolves.
+func (c *Completion) WaitFunc(fn func()) {
+	if c.done {
+		fn()
+		return
+	}
+	c.signal.WaitFunc(fn)
+}
+
+// Reset returns a resolved completion to unresolved, so an owner that
+// pools it can reuse it for its next operation.
+func (c *Completion) Reset() {
+	if c.signal.Waiting() > 0 {
+		panic("sim: Reset of a Completion with waiters")
+	}
+	c.done = false
 }
