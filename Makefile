@@ -29,8 +29,10 @@ lint-json:
 check: build test lint
 	@echo "check: all gates green"
 
-# Wall-clock simulator cost on the kvserve workload, the run CI's bench
-# job makes (perfbench/run.sh takes --workload pair-gpu, pair-host,
-# kvserve or allreduce; its build output stays under .bench_build/).
+# Wall-clock simulator cost on every BENCHMARK.json workload, the runs
+# CI's bench job makes (perfbench/run.sh's build output stays under
+# .bench_build/).
 bench:
-	bash perfbench/run.sh --workload kvserve --seed 1 --seconds 20 --trace 0
+	@set -e; for w in pair-gpu pair-host kvserve allreduce; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0; \
+	done

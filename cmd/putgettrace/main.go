@@ -246,12 +246,12 @@ func traceExtoll(p cluster.Params, size int, opt dumpOpts, pid int) replay {
 	extoll.ConnectPorts(tb.A.Extoll, 0, tb.B.Extoll, 0)
 
 	done := tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
-		tb.E.Tracef("gpu: kernel starts, posting WR")
+		tb.E.Tracev("gpu", "", "gpu: kernel starts, posting WR")
 		ra.DevPut(w, 0, srcN, dstN, size, extoll.FlagReqNotif|extoll.FlagCompNotif)
-		tb.E.Tracef("gpu: WR posted, polling requester notification")
+		tb.E.Tracev("gpu", "", "gpu: WR posted, polling requester notification")
 		//putget:allow boundedwait -- fault-free replay of a known-complete schedule; a Timeout variant would perturb the traced span bytes this tool exists to pin
 		ra.DevWaitNotif(w, 0, extoll.ClassRequester)
-		tb.E.Tracef("gpu: requester notification consumed")
+		tb.E.Tracev("gpu", "", "gpu: requester notification consumed")
 	})
 	tb.E.Run()
 	if !done.Done() {
@@ -274,16 +274,16 @@ func traceIB(p cluster.Params, size int, opt dumpOpts, pid int) replay {
 	core.ConnectVQPs(qa, qb)
 
 	done := tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
-		tb.E.Tracef("gpu: kernel starts, building WQE (%d-instruction post path)", 442)
+		tb.E.Tracev("gpu", "", "gpu: kernel starts, building WQE (%d-instruction post path)", 442)
 		va.DevPostSend(w, qa, ibsim.WQE{
 			Opcode: ibsim.OpRDMAWrite, Flags: ibsim.FlagSignaled, WRID: 1,
 			LAddr: uint64(src), LKey: srcMR.LKey, Length: size,
 			RAddr: uint64(dst), RKey: dstMR.RKey,
 		})
-		tb.E.Tracef("gpu: doorbell rung, polling send CQ")
+		tb.E.Tracev("gpu", "", "gpu: doorbell rung, polling send CQ")
 		//putget:allow boundedwait -- fault-free replay of a known-complete schedule; a Timeout variant would perturb the traced span bytes this tool exists to pin
 		va.DevPollCQ(w, qa.SendCQ)
-		tb.E.Tracef("gpu: completion consumed")
+		tb.E.Tracev("gpu", "", "gpu: completion consumed")
 	})
 	_ = qb
 	tb.E.Run()

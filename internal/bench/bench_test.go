@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"putget/internal/cluster"
@@ -403,39 +404,54 @@ func TestHostSpinEventCounts(t *testing.T) {
 	}
 }
 
-// TestEngineProcCounts caps process spawns and cross-goroutine handoffs
-// (sim.Engine.Spawned/Handoffs), counts that do not depend on the
-// machine, on a CPU-driven and a GPU-driven 64 KiB ping-pong per fabric.
-// The NIC pipelines are engine callbacks, so only software spawns: the
-// ping-pong's CPU threads or warps, the same number for 10 exchanges as
-// for 260. Handoffs are dominated by warp and CPU-thread wakeups. The
-// ceilings are 1.15x the measured counts. Executed events are pinned
-// exactly: the callbacks schedule every event a process per pipeline
-// stage did, in the same order.
+// TestEngineProcCounts pins process spawns and caps cross-goroutine
+// handoffs (sim.Engine.Spawned/Handoffs), counts that do not depend on
+// the machine, on a CPU-driven and a GPU-driven 64 KiB ping-pong per
+// fabric, and on a lossy CPU-driven 1 KiB one per fabric whose
+// reliability protocols retransmit (a 64 KiB EXTOLL put outlasts the
+// retransmission timer). Hardware is engine callbacks, so only software
+// spawns: the ping-pong's two CPU threads or warps, the same number for
+// 10 exchanges as for 260. Handoffs are dominated by warp and CPU-thread
+// wakeups; the ceilings are 1.15x the measured counts. Executed events
+// are pinned exactly: the callbacks schedule every event a process per
+// hardware stage did, in the same order.
 func TestEngineProcCounts(t *testing.T) {
+	lossy := func(p *cluster.Params) {
+		p.FaultInject, p.FaultSeed, p.FaultDropRate = true, 3, 0.02
+	}
 	for _, tc := range []struct {
-		kind                      transport.Kind
-		mode                      ControlMode
-		spawned, handoffs, events uint64
+		kind             transport.Kind
+		mode             ControlMode
+		size             int
+		faults           func(*cluster.Params)
+		handoffs, events uint64
 	}{
-		{transport.KindExtoll, ExtHostControlled, 4, 525, 14568},
-		{transport.KindExtoll, ExtDirect, 4, 103837, 627265},
-		{transport.KindIB, IBHostControlled, 4, 2085, 13008},
-		{transport.KindIB, IBBufOnGPU, 4, 531, 696292},
+		{transport.KindExtoll, ExtHostControlled, 64 << 10, nil, 523, 14568},
+		{transport.KindExtoll, ExtDirect, 64 << 10, nil, 103831, 627265},
+		{transport.KindIB, IBHostControlled, 64 << 10, nil, 2083, 13008},
+		{transport.KindIB, IBBufOnGPU, 64 << 10, nil, 525, 696292},
+		{transport.KindExtoll, ExtHostControlled, 1 << 10, lossy, 523, 16748},
+		{transport.KindIB, IBHostControlled, 1 << 10, lossy, 2083, 15583},
 	} {
-		r := PingPong(cluster.Default(), tc.kind, tc.mode, 64<<10, 250, 10)
-		if limit := tc.spawned * 115 / 100; r.Spawned > limit {
-			t.Errorf("%v %v: %d procs spawned, ceiling %d", tc.kind, tc.mode, r.Spawned, limit)
+		p := cluster.Default()
+		name := fmt.Sprintf("%v %v", tc.kind, tc.mode)
+		if tc.faults != nil {
+			tc.faults(&p)
+			name += " lossy"
+		}
+		r := PingPong(p, tc.kind, tc.mode, tc.size, 250, 10)
+		if r.Spawned != 2 {
+			t.Errorf("%s: %d procs spawned, want 2", name, r.Spawned)
 		}
 		if limit := tc.handoffs * 115 / 100; r.Handoffs > limit {
-			t.Errorf("%v %v: %d handoffs, ceiling %d", tc.kind, tc.mode, r.Handoffs, limit)
+			t.Errorf("%s: %d handoffs, ceiling %d", name, r.Handoffs, limit)
 		}
 		if r.Events != tc.events {
-			t.Errorf("%v %v: %d events executed, want %d", tc.kind, tc.mode, r.Events, tc.events)
+			t.Errorf("%s: %d events executed, want %d", name, r.Events, tc.events)
 		}
-		if short := PingPong(cluster.Default(), tc.kind, tc.mode, 64<<10, 5, 5); short.Spawned != r.Spawned {
-			t.Errorf("%v %v: %d procs spawned for 10 exchanges, %d for 260: a per-operation spawn",
-				tc.kind, tc.mode, short.Spawned, r.Spawned)
+		if short := PingPong(p, tc.kind, tc.mode, tc.size, 5, 5); short.Spawned != r.Spawned {
+			t.Errorf("%s: %d procs spawned for 10 exchanges, %d for 260: a per-operation spawn",
+				name, short.Spawned, r.Spawned)
 		}
 	}
 }

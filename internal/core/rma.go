@@ -268,19 +268,6 @@ func (r *RMA) DevPollU64(w *gpusim.Warp, addr memspace.Addr, want uint64) {
 	w.PollGlobalU64(addr, want)
 }
 
-// DevPollU64Masked waits until (word & mask) == want, for payloads
-// smaller than 8 bytes whose sequence stamp only covers the low bytes.
-func (r *RMA) DevPollU64Masked(w *gpusim.Warp, addr memspace.Addr, want, mask uint64) {
-	w.PollGlobalU64Masked(addr, want, mask)
-}
-
-// DevPollU64Timeout is DevPollU64Masked with a deadline; it reports
-// whether the condition was met before `timeout` elapsed.
-func (r *RMA) DevPollU64Timeout(w *gpusim.Warp, addr memspace.Addr, want, mask uint64, timeout sim.Duration) bool {
-	_, ok := w.PollGlobalU64MaskedTimeout(addr, want, mask, timeout)
-	return ok
-}
-
 // ---- host-side API (runs on CPU threads) ----
 
 // HostPut creates and posts a put WR from the CPU: descriptor assembly at

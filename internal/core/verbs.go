@@ -55,9 +55,6 @@ type VQP struct {
 	OnGPU  bool
 }
 
-// SQTail returns the software producer index (posted WQEs).
-func (q *VQP) SQTail() int { return q.sqTail }
-
 // CreateQP allocates SQ/RQ/CQ rings in host or GPU memory (the paper's
 // buffer-placement axis) and creates the QP.
 func (v *Verbs) CreateQP(sqEntries, rqEntries, cqEntries int, onGPU bool) *VQP {

@@ -216,8 +216,8 @@ func (n *NIC) AttachWire(tx, rx wire.Conduit[Packet]) {
 	n.tx, n.rxIn = tx, rx
 	n.rx.At(n.e.Now(), (*NIC).rxWake)
 	if n.rel != nil {
-		n.e.Spawn(n.cfg.Name+".retx", n.rel.Run)
-		n.e.Spawn(n.cfg.Name+".watchdog", n.respWatchdog)
+		n.rel.Start()
+		n.e.At(n.e.Now(), n.rel.watchdogF)
 	}
 }
 
@@ -333,11 +333,11 @@ func (n *NIC) writeNotif(port, class, size int, cookie uint64) {
 	// drops the notification and raises an error counter.
 	if w0, err := n.f.Space().ReadU64(addr); err == nil && NotifValid(w0) {
 		n.stats.NotificationOverflows++
-		n.e.Tracef("%s: notification ring overflow port %d class %d", n.cfg.Name, port, class)
+		n.e.Tracev(n.cfg.Name, "", "%s: notification ring overflow port %d class %d", n.cfg.Name, port, class)
 		return
 	}
-	if n.e.Trace != nil {
-		n.e.Tracef("%s: notification class %d port %d (size %d)", n.cfg.Name, class, port, size)
+	if n.e.Traced() {
+		n.e.Tracev(n.cfg.Name, "", "%s: notification class %d port %d (size %d)", n.cfg.Name, class, port, size)
 	}
 	buf := make([]byte, NotifBytes)
 	binary.LittleEndian.PutUint64(buf[0:], EncodeNotif(class, size))
@@ -421,8 +421,8 @@ func (n *NIC) reqNext() {
 		return
 	}
 	n.e.Metric(n.cfg.Name, "reqq", float64(n.reqQ.Len()))
-	if n.e.Trace != nil {
-		n.e.Tracef("%s: requester decodes WR (cmd=%d size=%d port=%d)", n.cfg.Name, wr.Cmd, wr.Size, wr.Port)
+	if n.e.Traced() {
+		n.e.Tracev(n.cfg.Name, "", "%s: requester decodes WR (cmd=%d size=%d port=%d)", n.cfg.Name, wr.Cmd, wr.Size, wr.Port)
 	}
 	if n.e.Observing() {
 		n.reqSpan = n.e.SpanOpen(n.cfg.Name, "wr.decode", sim.Attr{Key: "cmd", Val: int64(wr.Cmd)})
@@ -545,8 +545,8 @@ func (n *NIC) sendPut(op *txOp) {
 	n.e.SpanCloseAt(fetch, readDone)
 	dpDone := n.datapath.Reserve(wr.Size + PktHeader)
 	ready := max(readDone, dpDone)
-	if n.e.Trace != nil {
-		n.e.Tracef("%s: put payload pulled, %dB to wire", n.cfg.Name, wr.Size)
+	if n.e.Traced() {
+		n.e.Tracev(n.cfg.Name, "", "%s: put payload pulled, %dB to wire", n.cfg.Name, wr.Size)
 	}
 	pkt := Packet{
 		Kind: CmdPut, DstPort: op.peer, OriginPort: wr.Port,
@@ -650,8 +650,8 @@ func (op *rxOp) start() {
 	comp := n.cyc(n.cfg.CompCycles)
 	switch pkt.Kind {
 	case CmdPut:
-		if n.e.Trace != nil {
-			n.e.Tracef("%s: completer lands %dB put on port %d", n.cfg.Name, pkt.Size, pkt.DstPort)
+		if n.e.Traced() {
+			n.e.Tracev(n.cfg.Name, "", "%s: completer lands %dB put on port %d", n.cfg.Name, pkt.Size, pkt.DstPort)
 		}
 		op.openLand()
 		op.After(comp, (*rxOp).putTranslate)

@@ -52,15 +52,16 @@ type linkRel struct {
 	// Requester response watchdog: pending is the global FIFO (constant
 	// timeout, so append order is deadline order); portQ indexes the same
 	// entries per port for in-order settling.
-	pending  []*pendingResp
-	portQ    map[int][]*pendingResp
-	respKick *sim.Signal
+	pending    []*pendingResp
+	portQ      map[int][]*pendingResp
+	respParked bool   // the watchdog waits for a tracked op
+	watchdogF  func() // NIC.respWatchdog
 }
 
 func newLinkRel(n *NIC) *linkRel {
 	r := &linkRel{
-		respKick: sim.NewSignal(n.e),
-		portQ:    map[int][]*pendingResp{},
+		portQ:     map[int][]*pendingResp{},
+		watchdogF: n.respWatchdog,
 	}
 	r.GoBackN = wire.NewGoBackN(n.e, &n.cfg.Rel.RelConfig, &n.stats.RelStats, wire.Owner[Packet]{
 		Send:  func(pkt Packet, wb int) { n.tx.Send(pkt, wb) },
@@ -133,7 +134,7 @@ func (n *NIC) linkDead() {
 		n.writeTimeoutNotif(pr.port, pr.size, pr.cookie)
 	}
 	r.pending = nil
-	r.respKick.Broadcast()
+	n.kickWatchdog()
 }
 
 // linkAdmit runs the link-layer checks on one received packet and reports
@@ -182,7 +183,7 @@ func (n *NIC) trackResponse(port, size int, cookie uint64) {
 	}
 	r.pending = append(r.pending, pr)
 	r.portQ[port] = append(r.portQ[port], pr)
-	r.respKick.Broadcast()
+	n.kickWatchdog()
 }
 
 // settleResponse consumes the oldest tracked op for port when its
@@ -206,25 +207,33 @@ func (n *NIC) settleResponse(port int) bool {
 	return !pr.timedOut
 }
 
-// respWatchdog turns overdue tracked ops into timeout-error notifications.
-func (n *NIC) respWatchdog(p *sim.Proc) {
+// respWatchdog turns overdue tracked ops into timeout-error
+// notifications. It is an engine callback: parked while nothing is
+// tracked, due again at the oldest op's deadline otherwise.
+func (n *NIC) respWatchdog() {
 	r := n.rel
-	for {
-		for len(r.pending) == 0 {
-			r.respKick.Wait(p)
-		}
+	for len(r.pending) > 0 {
 		head := r.pending[0]
 		if head.settled || head.timedOut {
 			r.pending = r.pending[1:]
 			continue
 		}
-		if now := p.Now(); now < head.deadline {
-			p.SleepUntil(head.deadline)
-			continue
+		if n.e.Now() < head.deadline {
+			n.e.At(head.deadline, r.watchdogF)
+			return
 		}
 		head.timedOut = true
 		r.pending = r.pending[1:]
 		n.stats.ReqTimeouts++
 		n.writeTimeoutNotif(head.port, head.size, head.cookie)
+	}
+	r.respParked = true
+}
+
+// kickWatchdog wakes a parked watchdog at the current instant.
+func (n *NIC) kickWatchdog() {
+	if r := n.rel; r.respParked {
+		r.respParked = false
+		n.e.At(n.e.Now(), r.watchdogF)
 	}
 }

@@ -28,9 +28,6 @@ const SharedLatency = 25 * sim.Nanosecond
 // Index returns the block index within the grid.
 func (b *Block) Index() int { return b.idx }
 
-// Warps returns the number of warps in the block.
-func (b *Block) Warps() int { return b.warps }
-
 // SharedBytes returns the scratchpad capacity.
 func (b *Block) SharedBytes() int { return len(b.shared) }
 

@@ -22,23 +22,35 @@ type copyReq struct {
 	done     *sim.Completion
 }
 
-// copyEngines lazily starts the two DMA engine processes.
+// copyLaunch is a copy engine's per-job driver and kickoff cost.
+const copyLaunch = 1500 * sim.Nanosecond
+
+// copyEngine is one direction's DMA engine. It runs as engine callbacks,
+// one job at a time in FIFO order: kickoff, then the transfer booked on
+// the GPU's PCIe port, then the completion.
+type copyEngine struct {
+	sim.Step[*copyEngine]
+	g       *GPU
+	q       *sim.Chan[copyReq]
+	cur     copyReq  // the job in flight
+	buf     []byte   // its bytes
+	deliver sim.Time // when a D2H write train lands
+}
+
+// copyEngines lazily starts the two DMA engines.
 func (g *GPU) copyEngines() {
-	if g.h2dQ != nil {
+	if g.h2d != nil {
 		return
 	}
-	g.h2dQ = sim.NewChan[copyReq](g.e)
-	g.d2hQ = sim.NewChan[copyReq](g.e)
-	g.e.Spawn(g.cfg.Name+".ce.h2d", func(p *sim.Proc) {
-		for {
-			g.serveCopy(p, g.h2dQ.Recv(p))
-		}
-	})
-	g.e.Spawn(g.cfg.Name+".ce.d2h", func(p *sim.Proc) {
-		for {
-			g.serveCopy(p, g.d2hQ.Recv(p))
-		}
-	})
+	g.h2d = g.newCopyEngine()
+	g.d2h = g.newCopyEngine()
+}
+
+func (g *GPU) newCopyEngine() *copyEngine {
+	c := &copyEngine{g: g, q: sim.NewChan[copyReq](g.e)}
+	c.Init(g.e, c)
+	c.At(g.e.Now(), (*copyEngine).recv)
+	return c
 }
 
 // CopyAsync enqueues a DMA copy between host and device memory (either
@@ -56,36 +68,69 @@ func (g *GPU) CopyAsync(dst, src memspace.Addr, n int) *sim.Completion {
 	done := sim.NewCompletion(g.e)
 	req := copyReq{dst: dst, src: src, n: n, done: done}
 	if d2h {
-		g.d2hQ.Send(req)
+		g.d2h.q.Send(req)
 	} else {
-		g.h2dQ.Send(req)
+		g.h2d.q.Send(req)
 	}
 	return done
 }
 
-// serveCopy executes one DMA job on a copy engine.
-func (g *GPU) serveCopy(p *sim.Proc, req copyReq) {
-	const launch = 1500 * sim.Nanosecond // driver + engine kickoff
-	p.Sleep(launch)
-	buf := make([]byte, req.n)
-	if g.isDevice(req.src) {
-		// D2H: read device memory locally, stream posted writes to host.
-		if err := g.f.Space().Read(req.src, buf); err != nil {
-			panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
-		}
-		deliver := g.f.WriteBulk(p, g.ep, req.dst, buf)
-		p.SleepUntil(deliver)
-	} else {
-		// H2D: DMA-read host memory, land it in device memory.
-		g.f.ReadBulk(p, g.ep, req.src, buf)
-		if err := g.f.Space().Write(req.dst, buf); err != nil {
-			panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
-		}
-		g.l2.InvalidateRange(uint64(req.dst), req.n)
-		g.inboundEpoch++
-		g.inboundSig.Broadcast()
+// recv takes the oldest queued job, or waits for one.
+func (c *copyEngine) recv() {
+	req, ok := c.q.TryRecv()
+	if !ok {
+		c.q.WaitFunc(c.Then((*copyEngine).recv))
+		return
 	}
-	req.done.Complete()
+	c.cur = req
+	c.After(copyLaunch, (*copyEngine).start)
+}
+
+// start books the transfer once the engine has kicked off.
+func (c *copyEngine) start() {
+	g, req := c.g, c.cur
+	c.buf = make([]byte, req.n)
+	if !g.isDevice(req.src) {
+		// H2D: DMA-read host memory, land it in device memory.
+		c.At(g.f.ReadBulkReserve(g.ep, req.src, c.buf), (*copyEngine).landed)
+		return
+	}
+	// D2H: read device memory locally, stream posted writes to host. The
+	// engine is busy while its egress link serializes them, then waits
+	// for the last one to land.
+	if err := g.f.Space().Read(req.src, c.buf); err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
+	}
+	sent, deliver := g.f.WritePayloadReserve(g.ep, req.dst, c.buf, nil)
+	if req.n == 0 {
+		c.At(deliver, (*copyEngine).finish)
+		return
+	}
+	c.deliver = deliver
+	c.At(sent, (*copyEngine).sent)
+}
+
+// sent: the D2H train has left the port; the job is done once it lands.
+func (c *copyEngine) sent() { c.At(c.deliver, (*copyEngine).finish) }
+
+// landed writes an H2D job's bytes into device memory.
+func (c *copyEngine) landed() {
+	g, req := c.g, c.cur
+	if err := g.f.Space().Write(req.dst, c.buf); err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
+	}
+	g.l2.InvalidateRange(uint64(req.dst), req.n)
+	g.inboundEpoch++
+	g.inboundSig.Broadcast()
+	c.finish()
+}
+
+// finish resolves the job's completion and moves on to the next job.
+func (c *copyEngine) finish() {
+	done := c.cur.done
+	c.cur, c.buf = copyReq{}, nil
+	done.Complete()
+	c.recv()
 }
 
 // Copy runs CopyAsync and blocks the calling process until it completes —

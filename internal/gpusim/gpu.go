@@ -89,8 +89,8 @@ type GPU struct {
 	inboundSig   *sim.Signal
 	inboundEpoch uint64
 
-	// copy engine queues (lazily started by CopyAsync)
-	h2dQ, d2hQ *sim.Chan[copyReq]
+	// copy engines (lazily started by CopyAsync)
+	h2d, d2h *copyEngine
 
 	defaultStream *Stream
 	streamSeq     int // per-GPU: cells in other engines must not share state
@@ -188,12 +188,16 @@ func (g *GPU) HostReadU64(addr memspace.Addr) (uint64, error) {
 
 // Stream orders kernel launches like a CUDA stream: kernels on the same
 // stream run back to back; kernels on different streams run concurrently.
-// A dedicated runner process dequeues launches and waits for each kernel
-// to finish before starting the next.
+// Its runner is an engine callback, not a process: it dequeues a launch,
+// pays the launch overhead, runs the grid and waits for every warp to
+// finish before it starts the next.
 type Stream struct {
-	g  *GPU
-	id int
-	q  *sim.Chan[launchReq]
+	run  sim.Step[*Stream]
+	g    *GPU
+	id   int
+	q    *sim.Chan[launchReq]
+	cur  launchReq // the kernel in flight
+	span sim.SpanID
 }
 
 type launchReq struct {
@@ -206,27 +210,41 @@ type launchReq struct {
 func (g *GPU) NewStream() *Stream {
 	g.streamSeq++
 	s := &Stream{g: g, id: g.streamSeq, q: sim.NewChan[launchReq](g.e)}
-	g.e.Spawn(fmt.Sprintf("%s.stream%d", g.cfg.Name, s.id), func(p *sim.Proc) {
-		for {
-			req := s.q.Recv(p)
-			p.Sleep(g.cfg.LaunchOverhead)
-			var span sim.SpanID
-			if g.e.Observing() {
-				span = g.e.SpanOpen(g.cfg.Name, "kernel",
-					sim.Attr{Key: "blocks", Val: int64(req.cfg.Blocks)},
-					sim.Attr{Key: "stream", Val: int64(s.id)})
-			}
-			inner := g.runGrid(req.cfg, req.body)
-			inner.Wait(p)
-			g.e.SpanClose(span)
-			req.done.Complete()
-		}
-	})
+	s.run.Init(g.e, s)
+	s.run.At(g.e.Now(), (*Stream).recv)
 	return s
 }
 
-// DefaultStream returns the GPU's stream 0.
-func (g *GPU) DefaultStream() *Stream { return g.defaultStream }
+// recv takes the oldest queued launch, or waits for one.
+func (s *Stream) recv() {
+	req, ok := s.q.TryRecv()
+	if !ok {
+		s.q.WaitFunc(s.run.Then((*Stream).recv))
+		return
+	}
+	s.cur = req
+	s.run.After(s.g.cfg.LaunchOverhead, (*Stream).launch)
+}
+
+// launch starts the grid once the launch overhead has passed.
+func (s *Stream) launch() {
+	g := s.g
+	if g.e.Observing() {
+		s.span = g.e.SpanOpen(g.cfg.Name, "kernel",
+			sim.Attr{Key: "blocks", Val: int64(s.cur.cfg.Blocks)},
+			sim.Attr{Key: "stream", Val: int64(s.id)})
+	}
+	g.runGrid(s.cur.cfg, s.cur.body).WaitFunc(s.run.Then((*Stream).finish))
+}
+
+// finish resolves the kernel's completion and moves on to the next launch.
+func (s *Stream) finish() {
+	s.g.e.SpanClose(s.span)
+	done := s.cur.done
+	s.cur, s.span = launchReq{}, 0
+	done.Complete()
+	s.recv()
+}
 
 // KernelConfig describes a grid. Blocks of up to 1024 threads split into
 // warps of 32; the kernel body runs once per warp (the paper's kernels

@@ -305,17 +305,26 @@ func TestStreamsSerializeKernels(t *testing.T) {
 	r := newRig(t)
 	s := r.g.NewStream()
 	var k1End, k2Start sim.Time
-	r.g.Launch(KernelConfig{Blocks: 1, Stream: s}, func(w *Warp) {
+	d1 := r.g.Launch(KernelConfig{Blocks: 1, Stream: s}, func(w *Warp) {
 		w.Exec(500)
 		k1End = w.Now()
 	})
-	r.g.Launch(KernelConfig{Blocks: 1, Stream: s}, func(w *Warp) {
+	d2 := r.g.Launch(KernelConfig{Blocks: 1, Stream: s}, func(w *Warp) {
 		k2Start = w.Now()
 		w.Exec(1)
 	})
 	r.e.Run()
 	if k2Start < k1End {
 		t.Fatalf("second kernel started %v before first ended %v", k2Start, k1End)
+	}
+	// The stream's events are pinned: its stages keep their instants (in
+	// ps) and the engine runs exactly as many events.
+	got := [...]sim.Time{k1End, d1.At(), k2Start, d2.At()}
+	if want := [...]sim.Time{8_000_000, 8_000_000, 12_000_000, 12_008_000}; got != want {
+		t.Errorf("kernel instants %v, want %v", got, want)
+	}
+	if got, want := r.e.Executed(), uint64(10); got != want {
+		t.Errorf("%d events executed, want %d", got, want)
 	}
 }
 
@@ -754,11 +763,22 @@ func TestCopyEngineD2HAndH2D(t *testing.T) {
 	if err := r.g.HostWrite(dev, payload); err != nil {
 		t.Fatal(err)
 	}
+	var d2h, h2d sim.Time
 	r.e.Spawn("driver", func(p *sim.Proc) {
-		r.g.Copy(p, host, dev, len(payload))        // D2H
+		r.g.Copy(p, host, dev, len(payload)) // D2H
+		d2h = p.Now()
 		r.g.Copy(p, dev+0x4000, host, len(payload)) // H2D
+		h2d = p.Now()
 	})
 	r.e.Run()
+	// The copy engines' events are pinned: both copies complete at their
+	// instants (in ps) and the engine runs exactly as many events.
+	if d2h != 2_980_000 || h2d != 6_560_000 {
+		t.Errorf("copies done at %v and %v, want 2.98us and 6.56us", d2h, h2d)
+	}
+	if got, want := r.e.Executed(), uint64(13); got != want {
+		t.Errorf("%d events executed, want %d", got, want)
+	}
 	got := make([]byte, len(payload))
 	if err := r.f.Space().Read(host, got); err != nil {
 		t.Fatal(err)

@@ -25,10 +25,6 @@ type Warp struct {
 	block  *Block
 }
 
-// BlockState returns the warp's block (barrier, shared memory); nil only
-// for warps constructed outside Launch.
-func (w *Warp) BlockState() *Block { return w.block }
-
 // GPU returns the device this warp runs on.
 func (w *Warp) GPU() *GPU { return w.g }
 

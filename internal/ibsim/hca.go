@@ -454,7 +454,7 @@ func ConnectQPs(a, b *QP) {
 	}
 	for _, q := range []*QP{a, b} {
 		if q.rel != nil {
-			q.hca.e.Spawn(fmt.Sprintf("%s.qp%d.retx", q.hca.cfg.Name, q.QPN), q.rel.Run)
+			q.rel.Start()
 		}
 	}
 }
@@ -553,8 +553,8 @@ func (q *QP) sqFetched() {
 	h.dmaSlots.Release()
 	h.e.SpanClose(q.sqSpan)
 	q.sqSpan = 0
-	if h.e.Trace != nil {
-		h.e.Tracef("%s: qp%d fetched %d WQE(s)", h.cfg.Name, q.QPN, q.fetching)
+	if h.e.Traced() {
+		h.e.Tracev(h.cfg.Name, "", "%s: qp%d fetched %d WQE(s)", h.cfg.Name, q.QPN, q.fetching)
 	}
 	q.sqI = 0
 	q.sqDecode()
@@ -800,8 +800,8 @@ func (r *rxEngine) wake() {
 			h.rxIn.WaitFunc(r.Then((*rxEngine).wake))
 			return
 		}
-		if h.e.Trace != nil {
-			h.e.Tracef("%s: rx opcode %d, %dB for qp%d", h.cfg.Name, pkt.Opcode, len(pkt.Data), pkt.DstQPN)
+		if h.e.Traced() {
+			h.e.Tracev(h.cfg.Name, "", "%s: rx opcode %d, %dB for qp%d", h.cfg.Name, pkt.Opcode, len(pkt.Data), pkt.DstQPN)
 		}
 		h.stats.PacketsRx++
 		if pkt.Poisoned {

@@ -298,10 +298,3 @@ func (s *Space) ReadU32(a Addr) (uint32, error) {
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
-
-// WriteU32 writes a little-endian 32-bit word at a.
-func (s *Space) WriteU32(a Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return s.Write(a, b[:])
-}

@@ -131,7 +131,6 @@ type Fabric struct {
 	// delay rather than data loss.
 	faults        Faults
 	replayPenalty sim.Duration
-	replays       uint64
 
 	readFree []*readOp // idle read ops (see ReadFunc)
 }
@@ -144,9 +143,6 @@ func (f *Fabric) SetFaults(fi Faults, replayPenalty sim.Duration) {
 	f.replayPenalty = replayPenalty
 }
 
-// Replays reports bulk transfers that suffered a link-level retransmission.
-func (f *Fabric) Replays() uint64 { return f.replays }
-
 // faultDelay turns an injector verdict into extra bulk-transfer latency.
 func (f *Fabric) faultDelay(at sim.Time, n int) sim.Duration {
 	if f.faults == nil {
@@ -154,7 +150,6 @@ func (f *Fabric) faultDelay(at sim.Time, n int) sim.Duration {
 	}
 	drop, corrupt, extra := f.faults.Judge(at, n)
 	if drop || corrupt {
-		f.replays++
 		extra += f.replayPenalty
 		if f.e.Traced() {
 			f.e.Tracev("pcie", "fault", "fault: pcie replay (%dB, +%v)", n, f.replayPenalty)
@@ -402,38 +397,14 @@ func (f *Fabric) ReadBulkReserve(src *Endpoint, addr memspace.Addr, buf []byte) 
 	return done.Add(flight(src, o.ep) + flight(o.ep, src) + o.ep.cfg.ReadLatency)
 }
 
-// ReadBulk performs a pipelined DMA read stream of len(buf) bytes: one
-// request latency, then the data stream gated by the slower of the
-// target's read-service rate (size-dependent — the P2P collapse) and the
-// target's egress link. Used by NIC DMA engines fetching payload or WQEs.
-func (f *Fabric) ReadBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []byte) {
-	p.SleepUntil(f.ReadBulkReserve(src, addr, buf))
-}
-
-// WriteBulk streams len(data) bytes to addr as a train of posted writes
-// and blocks p while its egress link serializes them (the initiator's DMA
-// engine is busy that long). The functional write and inbound-write hook
-// fire once, at the returned delivery time of the final chunk.
-func (f *Fabric) WriteBulk(p *sim.Proc, src *Endpoint, addr memspace.Addr, data []byte) sim.Time {
-	return f.WritePayload(p, src, addr, data, nil)
-}
-
-// WritePayload is WriteBulk for bytes the caller holds one reference of
-// through pl (nil: bytes the payload pool did not hand out). The write
-// holds data until its functional copy into memory at the delivery time,
-// so the reference is released right after that copy.
-func (f *Fabric) WritePayload(p *sim.Proc, src *Endpoint, addr memspace.Addr, data []byte, pl *sim.Payload) sim.Time {
-	sent, deliver := f.WritePayloadReserve(src, addr, data, pl)
-	if len(data) > 0 {
-		p.SleepUntil(sent)
-	}
-	return deliver
-}
-
-// WritePayloadReserve is the non-blocking form of WritePayload: it books
-// the write train and returns when src's egress finishes serializing it
-// (the blocking form sleeps until then; a DMA engine stays busy that
-// long) and when it lands. Empty data is released and returns now twice.
+// WritePayloadReserve streams len(data) bytes to addr as a train of
+// posted writes without blocking the caller. It books the train on src's
+// egress link and returns when that link finishes serializing it (a DMA
+// engine stays busy that long) and when the final chunk lands. The
+// functional write and inbound-write hook fire once, at delivery. pl is
+// the caller's one reference to data (nil: bytes the payload pool did not
+// hand out); the write holds data until its copy into memory and releases
+// pl right after. Empty data is released and returns now twice.
 func (f *Fabric) WritePayloadReserve(src *Endpoint, addr memspace.Addr, data []byte, pl *sim.Payload) (sent, deliver sim.Time) {
 	if len(data) == 0 {
 		pl.Release()

@@ -186,7 +186,7 @@ func TestReadBulkP2PCollapse(t *testing.T) {
 		e.Spawn("dma", func(p *sim.Proc) {
 			start := p.Now()
 			buf := make([]byte, n)
-			tbb.f.ReadBulk(p, tbb.nicEP, tbb.devRAM.Base, buf)
+			p.SleepUntil(tbb.f.ReadBulkReserve(tbb.nicEP, tbb.devRAM.Base, buf))
 			took = p.Now().Sub(start)
 		})
 		e.Run()
@@ -211,7 +211,7 @@ func TestReadBulkFromHostNotCollapsed(t *testing.T) {
 	tb.e.Spawn("dma", func(p *sim.Proc) {
 		start := p.Now()
 		buf := make([]byte, 4<<20)
-		tb.f.ReadBulk(p, tb.nicEP, 0x0, buf)
+		p.SleepUntil(tb.f.ReadBulkReserve(tb.nicEP, 0x0, buf))
 		took = p.Now().Sub(start)
 	})
 	tb.e.Run()
@@ -236,7 +236,8 @@ func TestWriteBulkDeliversOnceAtEnd(t *testing.T) {
 	data[len(data)-1] = 0x5a
 	var sentDone sim.Time
 	tb.e.Spawn("dma", func(p *sim.Proc) {
-		tb.f.WriteBulk(p, tb.nicEP, tb.devRAM.Base, data)
+		sent, _ := tb.f.WritePayloadReserve(tb.nicEP, tb.devRAM.Base, data, nil)
+		p.SleepUntil(sent)
 		sentDone = p.Now()
 	})
 	tb.e.Run()
@@ -276,7 +277,7 @@ func TestEgressContentionSerializes(t *testing.T) {
 		var took sim.Duration
 		tbb.e.Spawn("a", func(p *sim.Proc) {
 			start := p.Now()
-			tbb.f.ReadBulk(p, tbb.nicEP, tbb.devRAM.Base, make([]byte, 256<<10))
+			p.SleepUntil(tbb.f.ReadBulkReserve(tbb.nicEP, tbb.devRAM.Base, make([]byte, 256<<10)))
 			took = p.Now().Sub(start)
 		})
 		tbb.e.Run()
@@ -284,11 +285,11 @@ func TestEgressContentionSerializes(t *testing.T) {
 	}()
 	var aDone, bDone sim.Time
 	tb.e.Spawn("a", func(p *sim.Proc) {
-		tb.f.ReadBulk(p, tb.nicEP, tb.devRAM.Base, make([]byte, 256<<10))
+		p.SleepUntil(tb.f.ReadBulkReserve(tb.nicEP, tb.devRAM.Base, make([]byte, 256<<10)))
 		aDone = p.Now()
 	})
 	tb.e.Spawn("b", func(p *sim.Proc) {
-		tb.f.ReadBulk(p, tb.cpuEP, tb.devRAM.Base+0x1000, make([]byte, 256<<10))
+		p.SleepUntil(tb.f.ReadBulkReserve(tb.cpuEP, tb.devRAM.Base+0x1000, make([]byte, 256<<10)))
 		bDone = p.Now()
 	})
 	tb.e.Run()
@@ -340,8 +341,8 @@ func TestEndpointStats(t *testing.T) {
 		buf := make([]byte, 8)
 		tb.f.Read(p, tb.cpuEP, 0x100, buf)
 		big := make([]byte, 64<<10)
-		tb.f.ReadBulk(p, tb.nicEP, tb.devRAM.Base, big)
-		tb.f.WriteBulk(p, tb.nicEP, 0x2000, big)
+		p.SleepUntil(tb.f.ReadBulkReserve(tb.nicEP, tb.devRAM.Base, big))
+		tb.f.WritePayloadReserve(tb.nicEP, 0x2000, big, nil)
 	})
 	tb.e.Run()
 	cpu := tb.cpuEP.Stats()
@@ -367,9 +368,7 @@ func TestEndpointStats(t *testing.T) {
 
 func TestUtilizationVisible(t *testing.T) {
 	tb := newTestbed(t)
-	tb.e.Spawn("w", func(p *sim.Proc) {
-		tb.f.WriteBulk(p, tb.nicEP, tb.devRAM.Base, make([]byte, 1<<20))
-	})
+	tb.f.WritePayloadReserve(tb.nicEP, tb.devRAM.Base, make([]byte, 1<<20), nil)
 	tb.e.Run()
 	if tb.nicEP.Egress().BusyTotal() <= 0 {
 		t.Fatal("egress utilization not accumulated")

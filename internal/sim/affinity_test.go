@@ -55,13 +55,6 @@ func TestAffinityResourceAcquireForeignProc(t *testing.T) {
 	wantAffinityPanic(t, got, "Resource.Acquire")
 }
 
-func TestAffinityServerTransferForeignProc(t *testing.T) {
-	a, b := NewEngine(), NewEngine()
-	srv := NewServer(b, 1e9)
-	got := recoverInProc(a, func(p *Proc) { srv.Transfer(p, 64) })
-	wantAffinityPanic(t, got, "Server.Transfer")
-}
-
 func TestAffinityCompletionWaitForeignProc(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
 	c := NewCompletion(b)

@@ -29,7 +29,7 @@ func buildWorkload(seed uint64) string {
 		e.SpawnAt(Time(next()%5000), fmt.Sprintf("w%d", i), func(p *Proc) {
 			p.Sleep(delay)
 			res.Acquire(p)
-			srv.Transfer(p, int(next()%4096)+1)
+			p.SleepUntil(srv.Reserve(int(next()%4096) + 1))
 			fmt.Fprintf(&log, "%d held at %v\n", i, p.Now())
 			res.Release()
 			ch.Send(i)

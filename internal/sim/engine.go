@@ -182,13 +182,9 @@ type Engine struct {
 	dead bool
 	busy atomic.Int32
 
-	// Trace, when non-nil, receives a line per traced event. Models call
-	// Tracef to emit them.
-	Trace func(t Time, msg string)
-
-	// TraceEv, when non-nil, receives structured trace lines: the emitting
-	// component and the event kind travel beside the text instead of being
-	// re-derived from it. Models call Tracev to emit them.
+	// TraceEv, when non-nil, receives a line per traced event, with the
+	// emitting component and the event kind beside the text. Models call
+	// Tracev to emit them.
 	TraceEv func(t Time, comp, kind, msg string)
 
 	// obs receives span open/close and metric samples; nil disables the
@@ -261,7 +257,7 @@ func (e *Engine) ID() uint64 { return e.id }
 // mustOwn panics when p belongs to a different engine than e. It is the
 // engine-affinity guard: with many isolated engines running concurrently
 // (one per experiment cell), accidentally sharing a Chan, Signal,
-// Resource or Server across engines would corrupt both simulations
+// Resource or Completion across engines would corrupt both simulations
 // silently — this turns the bug into an immediate diagnostic.
 func (e *Engine) mustOwn(p *Proc, what string) {
 	if p.e != e {
@@ -321,25 +317,16 @@ func (e *Engine) Shutdown() {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Tracef emits a trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...interface{}) {
-	if e.Trace != nil {
-		e.Trace(e.now, fmt.Sprintf(format, args...))
-	}
-}
-
-// Traced reports whether any trace hook is installed; models use it to
+// Traced reports whether a trace hook is installed; models use it to
 // skip formatting work on untraced runs.
-func (e *Engine) Traced() bool { return e.Trace != nil || e.TraceEv != nil }
+func (e *Engine) Traced() bool { return e.TraceEv != nil }
 
-// Tracev emits a structured trace line carrying the emitting component and
-// the event kind ("fault", "retry", ...). It prefers the structured hook
-// and falls back to the plain one so legacy observers still see the text.
+// Tracev emits a trace line from component comp if tracing is enabled.
+// kind classifies it ("fault", "retry", ...); plain progress lines leave
+// it empty.
 func (e *Engine) Tracev(comp, kind, format string, args ...interface{}) {
 	if e.TraceEv != nil {
 		e.TraceEv(e.now, comp, kind, fmt.Sprintf(format, args...))
-	} else if e.Trace != nil {
-		e.Trace(e.now, fmt.Sprintf(format, args...))
 	}
 }
 

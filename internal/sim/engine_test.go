@@ -432,7 +432,9 @@ func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		res.Spawn("holder", func(p *Proc) {
 			for {
-				r.Use(p, 1)
+				r.Acquire(p)
+				p.Sleep(1)
+				r.Release()
 			}
 		})
 	}

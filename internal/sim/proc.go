@@ -229,7 +229,3 @@ func (p *Proc) WakeFunc() func() { return p.resumeF }
 //
 //putget:hot
 func (p *Proc) Await() { p.park() }
-
-// Yield lets all other events scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -78,13 +78,3 @@ func (r *Resource) Release() {
 
 // InUse reports the number of held units.
 func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of queued acquirers.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// Use acquires the resource, holds it for d, then releases it.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}

@@ -26,14 +26,6 @@ func NewServer(e *Engine, bytesPerSecond float64) *Server {
 // Rate returns the configured service rate in bytes/second.
 func (s *Server) Rate() float64 { return s.rate }
 
-// SetRate changes the service rate; affects transfers reserved afterwards.
-func (s *Server) SetRate(bytesPerSecond float64) {
-	if bytesPerSecond <= 0 {
-		panic("sim: server rate must be positive")
-	}
-	s.rate = bytesPerSecond
-}
-
 // Reserve books n bytes of service starting no earlier than the current
 // time and returns the completion time, without blocking. Use it for
 // posted (fire-and-forget) traffic where the initiator does not wait.
@@ -57,15 +49,6 @@ func (s *Server) ReserveDuration(d Duration) Time {
 	s.busyUntil = start.Add(d)
 	s.busyTotal += d
 	return s.busyUntil
-}
-
-// Transfer books n bytes of service and blocks p until the transfer
-// completes (queueing + serialization). p must belong to the same engine
-// as the server (affinity guard).
-func (s *Server) Transfer(p *Proc, n int) {
-	s.e.mustOwn(p, "Server.Transfer")
-	done := s.Reserve(n)
-	p.SleepUntil(done)
 }
 
 // BusyTotal reports accumulated service time, for utilization metrics.

@@ -27,7 +27,11 @@ type waitWorld struct {
 func newWaitWorld() *waitWorld {
 	e := NewEngine()
 	w := &waitWorld{e: e, r: NewResource(e, 1), s: NewSignal(e), c: NewCompletion(e), ch: NewChan[int](e)}
-	e.Spawn("holder", func(p *Proc) { w.r.Use(p, 10) })
+	e.Spawn("holder", func(p *Proc) {
+		w.r.Acquire(p)
+		p.Sleep(10)
+		w.r.Release()
+	})
 	e.Spawn("env", func(p *Proc) {
 		p.SleepUntil(20)
 		w.s.Broadcast()

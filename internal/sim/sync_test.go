@@ -132,7 +132,9 @@ func TestResourceCapacityTwo(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		e.Spawn("u", func(p *Proc) {
-			r.Use(p, 100)
+			r.Acquire(p)
+			p.Sleep(100)
+			r.Release()
 			finish = append(finish, p.Now())
 		})
 	}
@@ -182,7 +184,7 @@ func TestServerSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("xfer", func(p *Proc) {
-			s.Transfer(p, 1000)
+			p.SleepUntil(s.Reserve(1000))
 			finish = append(finish, p.Now())
 		})
 	}

@@ -104,9 +104,6 @@ func (nt *Net[T]) Bind(node, key, dst int) {
 	}
 }
 
-// Nodes returns the node count.
-func (nt *Net[T]) Nodes() int { return nt.g.n }
-
 // Routers returns the switch count (torus: one per grid point; fat-tree:
 // leaves + spines; Direct: none).
 func (nt *Net[T]) Routers() int { return nt.g.routers }

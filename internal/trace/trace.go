@@ -20,9 +20,8 @@ type Event struct {
 	At  sim.Time // virtual timestamp (picoseconds)
 	Cat string   // emitting component ("pcie", "a.rma", "gpu", ...)
 	Msg string   // human-readable description
-	// Kind classifies structured events ("fault", "retry", ...). Legacy
-	// Tracef lines leave it empty; their Cat is derived from the message
-	// prefix as before.
+	// Kind classifies the event ("fault", "retry", ...); plain progress
+	// lines leave it empty.
 	Kind string `json:",omitempty"`
 	// Dropped is nonzero only on the synthetic summary record WriteJSON
 	// appends when the retention bound was exceeded.
@@ -74,7 +73,7 @@ type Recorder struct {
 	samples []Sample
 }
 
-// Attach installs a recorder on the engine's trace hooks and observer
+// Attach installs a recorder on the engine's trace hook and observer
 // stream. max bounds the number of retained events (0 = unlimited);
 // further events are counted as dropped. Spans and samples are not
 // bounded: one span per pipeline stage is two orders of magnitude sparser
@@ -84,26 +83,10 @@ type Recorder struct {
 // receiving everything — two recorders may observe one simulation.
 func Attach(e *sim.Engine, max int) *Recorder {
 	r := &Recorder{max: max, openIdx: map[sim.SpanID]int{}}
-	prevTrace := e.Trace
-	prevEv := e.TraceEv
-	e.Trace = func(t sim.Time, msg string) {
-		if prevTrace != nil {
-			prevTrace(t, msg)
-		}
-		// Legacy line: the category is the text before the first colon.
-		cat := msg
-		if i := strings.IndexByte(msg, ':'); i > 0 {
-			cat = msg[:i]
-		}
-		r.record(Event{At: t, Cat: cat, Msg: msg})
-	}
+	prev := e.TraceEv
 	e.TraceEv = func(t sim.Time, comp, kind, msg string) {
-		if prevEv != nil {
-			prevEv(t, comp, kind, msg)
-		} else if prevTrace != nil {
-			// The earlier observer predates the structured hook; forward
-			// the text so it does not silently lose events.
-			prevTrace(t, msg)
+		if prev != nil {
+			prev(t, comp, kind, msg)
 		}
 		r.record(Event{At: t, Cat: comp, Kind: kind, Msg: msg})
 	}

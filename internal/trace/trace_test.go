@@ -9,8 +9,11 @@ import (
 	"putget/internal/sim"
 )
 
+// emit traces msg at at from the component its prefix names, as the
+// models' progress lines do.
 func emit(e *sim.Engine, at sim.Time, msg string) {
-	e.At(at, func() { e.Tracef("%s", msg) })
+	comp, _, _ := strings.Cut(msg, ":")
+	e.At(at, func() { e.Tracev(comp, "", "%s", msg) })
 }
 
 func TestRecorderCapturesInOrder(t *testing.T) {
@@ -142,15 +145,14 @@ func TestFilterMatchesKind(t *testing.T) {
 func TestAttachChains(t *testing.T) {
 	e := sim.NewEngine()
 	var prevGot []string
-	e.Trace = func(at sim.Time, msg string) { prevGot = append(prevGot, msg) }
+	e.TraceEv = func(at sim.Time, comp, kind, msg string) { prevGot = append(prevGot, msg) }
 	r1 := Attach(e, 0)
 	r2 := Attach(e, 0)
-	emit(e, 1, "x: legacy line")
-	e.At(2, func() { e.Tracev("y", "k", "y: structured line") })
+	emit(e, 1, "x: plain line")
+	e.At(2, func() { e.Tracev("y", "k", "y: classified line") })
 	e.At(3, func() { e.SpanClose(e.SpanOpen("z", "stage")) })
 	e.Run()
-	// The pre-existing hook keeps receiving everything, including the
-	// structured line (forwarded as text since it predates TraceEv).
+	// The pre-existing hook keeps receiving everything.
 	if len(prevGot) != 2 {
 		t.Fatalf("previous hook got %d lines: %v", len(prevGot), prevGot)
 	}

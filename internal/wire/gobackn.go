@@ -98,7 +98,8 @@ type GoBackN[P any] struct {
 	retries  int
 	armed    bool
 	deadline sim.Time
-	kick     *sim.Signal
+	parked   bool   // the timer waits for kick
+	tickF    func() // tick, built once by Start
 
 	// Receiver side.
 	expect     uint32
@@ -108,10 +109,16 @@ type GoBackN[P any] struct {
 }
 
 // NewGoBackN returns a sequence space counting into st. It returns a
-// value so owners embed it without a separate allocation. The owner
-// spawns Run as the retransmission-timer process.
+// value so owners embed it without a separate allocation, then Start it.
 func NewGoBackN[P any](e *sim.Engine, cfg *RelConfig, st *RelStats, o Owner[P]) GoBackN[P] {
-	return GoBackN[P]{e: e, cfg: cfg, st: st, o: o, kick: sim.NewSignal(e)}
+	return GoBackN[P]{e: e, cfg: cfg, st: st, o: o}
+}
+
+// Start runs the retransmission timer from now on. Call it once, on the
+// sequence space's final address.
+func (g *GoBackN[P]) Start() {
+	g.tickF = g.tick
+	g.e.At(g.e.Now(), g.tickF)
 }
 
 // ---- sender side ----
@@ -144,7 +151,7 @@ func (g *GoBackN[P]) Shift() (en Entry[P], ok bool) {
 func (g *GoBackN[P]) Drain() {
 	g.window = nil
 	g.armed = false
-	g.kick.Broadcast()
+	g.kick()
 }
 
 // arm (re)starts the timer for the oldest unacked packet, or disarms it
@@ -156,27 +163,34 @@ func (g *GoBackN[P]) arm() {
 	}
 	g.armed = true
 	g.deadline = g.e.Now().Add(g.cfg.RetxTimeout)
-	g.kick.Broadcast()
+	g.kick()
 }
 
 // Postpone holds the timer for d beyond one RetxTimeout from now.
 func (g *GoBackN[P]) Postpone(d sim.Duration) {
 	g.deadline = g.e.Now().Add(d + g.cfg.RetxTimeout)
-	g.kick.Broadcast()
+	g.kick()
 }
 
-// Run is the retransmission-timer process: parked while nothing is
-// outstanding, sleeping toward the deadline otherwise.
-func (g *GoBackN[P]) Run(p *sim.Proc) {
-	for {
-		for !g.armed {
-			g.kick.Wait(p)
-		}
-		if now := p.Now(); now < g.deadline {
-			p.SleepUntil(g.deadline)
-			continue // deadline may have moved while sleeping
+// tick is the retransmission timer, an engine callback: parked while
+// nothing is outstanding, due again at the deadline otherwise (which may
+// have moved by then).
+func (g *GoBackN[P]) tick() {
+	for g.armed {
+		if g.e.Now() < g.deadline {
+			g.e.At(g.deadline, g.tickF)
+			return
 		}
 		g.timeout()
+	}
+	g.parked = true
+}
+
+// kick wakes a parked timer at the current instant.
+func (g *GoBackN[P]) kick() {
+	if g.parked {
+		g.parked = false
+		g.e.At(g.e.Now(), g.tickF)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestGoBackNDuplicateIsReackedNotRedelivered(t *testing.T) {
 func TestGoBackNCumulativeAckReleasesWindowAndResetsBudget(t *testing.T) {
 	e := sim.NewEngine()
 	tx := newGBNPeer(e, testRel)
-	e.Spawn("retx", tx.Run)
+	tx.Start()
 	e.At(0, func() {
 		for v := 0; v < 3; v++ {
 			tx.Send(gbnPkt{val: v}, 100, v)
@@ -164,7 +164,7 @@ func TestGoBackNExhaustedOnceAfterMaxRetriesPlusOne(t *testing.T) {
 	for _, nakFirst := range []bool{false, true} {
 		e := sim.NewEngine()
 		tx := newGBNPeer(e, testRel)
-		e.Spawn("retx", tx.Run)
+		tx.Start()
 		e.At(0, func() {
 			tx.Send(gbnPkt{val: 7}, 100, 0)
 			if nakFirst {
@@ -251,7 +251,7 @@ func FuzzGoBackN(f *testing.F) {
 			}
 		}
 		tx.deliver, rx.deliver = link(rx), link(tx)
-		e.Spawn("tx.retx", tx.Run)
+		tx.Start()
 		e.At(0, func() {
 			for v := 0; v < msgs; v++ {
 				tx.Send(gbnPkt{val: v}, 100, 0)
