@@ -404,17 +404,19 @@ func TestHostSpinEventCounts(t *testing.T) {
 	}
 }
 
-// TestEngineProcCounts pins process spawns and caps cross-goroutine
-// handoffs (sim.Engine.Spawned/Handoffs), counts that do not depend on
-// the machine, on a CPU-driven and a GPU-driven 64 KiB ping-pong per
-// fabric, and on a lossy CPU-driven 1 KiB one per fabric whose
-// reliability protocols retransmit (a 64 KiB EXTOLL put outlasts the
-// retransmission timer). Hardware is engine callbacks, so only software
-// spawns: the ping-pong's two CPU threads or warps, the same number for
-// 10 exchanges as for 260. Handoffs are dominated by warp and CPU-thread
-// wakeups; the ceilings are 1.15x the measured counts. Executed events
-// are pinned exactly: the callbacks schedule every event a process per
-// hardware stage did, in the same order.
+// TestEngineProcCounts pins process spawns and caps handoffs, the
+// switches into a process coroutine (sim.Engine.Spawned/Handoffs),
+// counts that do not depend on the machine, on a CPU-driven and a
+// GPU-driven 64 KiB ping-pong per fabric, and on a lossy CPU-driven
+// 1 KiB one per fabric whose reliability protocols retransmit (a 64 KiB
+// EXTOLL put outlasts the retransmission timer). Hardware is engine
+// callbacks, so only software spawns: the ping-pong's two CPU threads or
+// warps, the same number for 10 exchanges as for 260. Handoffs are
+// warp and CPU-thread wakeups that another event precedes; a sleep whose
+// wakeup is the next event wakes in place and does not count. The
+// ceilings are 1.15x the measured counts. Executed events are pinned
+// exactly: hardware callbacks and in-place wakes count and order every
+// event as a queued wake event would.
 func TestEngineProcCounts(t *testing.T) {
 	lossy := func(p *cluster.Params) {
 		p.FaultInject, p.FaultSeed, p.FaultDropRate = true, 3, 0.02
@@ -426,11 +428,11 @@ func TestEngineProcCounts(t *testing.T) {
 		faults           func(*cluster.Params)
 		handoffs, events uint64
 	}{
-		{transport.KindExtoll, ExtHostControlled, 64 << 10, nil, 523, 14568},
-		{transport.KindExtoll, ExtDirect, 64 << 10, nil, 103831, 627265},
+		{transport.KindExtoll, ExtHostControlled, 64 << 10, nil, 1043, 14568},
+		{transport.KindExtoll, ExtDirect, 64 << 10, nil, 129092, 627265},
 		{transport.KindIB, IBHostControlled, 64 << 10, nil, 2083, 13008},
-		{transport.KindIB, IBBufOnGPU, 64 << 10, nil, 525, 696292},
-		{transport.KindExtoll, ExtHostControlled, 1 << 10, lossy, 523, 16748},
+		{transport.KindIB, IBBufOnGPU, 64 << 10, nil, 3125, 696292},
+		{transport.KindExtoll, ExtHostControlled, 1 << 10, lossy, 1060, 16748},
 		{transport.KindIB, IBHostControlled, 1 << 10, lossy, 2083, 15583},
 	} {
 		p := cluster.Default()

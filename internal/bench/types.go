@@ -83,8 +83,8 @@ type LatencyResult struct {
 	// Events is the simulator's executed-event count for the whole cell
 	// (warmup included) — the denominator of the engine's events/sec rate.
 	Events uint64
-	// Spawned and Handoffs are the cell's process spawns and
-	// cross-goroutine resumes (sim.Engine.Spawned/Handoffs).
+	// Spawned and Handoffs are the cell's process spawns and switches
+	// into a process coroutine (sim.Engine.Spawned/Handoffs).
 	Spawned, Handoffs uint64
 	// Rel holds reliability-protocol activity; nil unless the testbed ran
 	// with fault injection enabled.

@@ -257,6 +257,6 @@ func (c *Cluster) BindIB(src *Node, qpn uint32, dst *Node) {
 	c.IBNet.Bind(c.IndexOf(src), int(qpn), c.IndexOf(dst))
 }
 
-// Shutdown terminates the cluster's parked processes (NIC engines)
-// so their goroutines exit; call it when done.
+// Shutdown terminates the cluster's parked processes so their
+// goroutines exit; call it when done.
 func (c *Cluster) Shutdown() { c.E.Shutdown() }

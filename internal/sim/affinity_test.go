@@ -7,9 +7,9 @@ import (
 )
 
 // recoverInProc runs body inside a process on engine e and returns the
-// panic value the body raised (nil if none). The recover must happen
-// inside the process body itself: proc panics unwind on the proc's own
-// goroutine, outside the test goroutine's reach.
+// panic value the body raised (nil if none). The recover happens inside
+// the process body, so the violation is caught where it is raised and
+// the run continues; uncaught, it would come out of Run instead.
 func recoverInProc(e *Engine, body func(p *Proc)) (got interface{}) {
 	e.Spawn("violator", func(p *Proc) {
 		defer func() { got = recover() }()

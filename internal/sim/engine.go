@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -134,17 +133,18 @@ func (e *Engine) removeEvent(i int) {
 
 // Engine owns the virtual clock and the pending-event queue.
 //
-// All simulation code — event callbacks and process bodies — runs under the
-// engine's strict handoff discipline, so engine state never needs locking.
-// Calling engine methods from goroutines outside the simulation is not
-// supported.
+// All simulation code — event callbacks and process bodies — runs one
+// piece at a time: the event loop runs on the Run caller's goroutine and
+// switches into one process coroutine at a time, so engine state never
+// needs locking. Calling engine methods from goroutines outside the
+// simulation is not supported.
 type Engine struct {
 	now      Time
 	events   []event
 	seq      uint64
 	executed uint64
 	spawned  uint64 // processes ever spawned
-	handoffs uint64 // resumes that switched goroutines
+	handoffs uint64 // switches into a process coroutine
 
 	// timers backs cancellable events: slot i holds the heap position of
 	// the event AtTimer armed (or -1 once it fired or was cancelled) plus
@@ -153,27 +153,15 @@ type Engine struct {
 	timers []timerSlot
 	freeT  []int32
 
-	// carrier is the process whose goroutine currently runs the event
-	// loop (nil: the Run caller's goroutine). mainWake is the Run
-	// caller's handoff channel; unwind tells the innermost loop frame to
-	// return (set inside a dispatched event); bound is the RunUntil time
-	// limit for every loop frame of the current run.
-	carrier  *Proc
-	mainWake chan uint8
-	unwind   int
-	bound    Time
-	panicVal interface{} // event panic in flight to the Run caller
+	// bound is the time limit of the current Run/RunUntil; a process
+	// sleep wakes in place only within it (see Proc.SleepUntil).
+	bound Time
 
 	procs   int // live (not yet finished) processes
 	live    map[*Proc]struct{}
 	stopped bool
 
 	payloads payloadPool // free DMA payload buffers (see Payload)
-
-	// exited counts proc goroutines that have not yet returned; unlike
-	// procs it drops only once a goroutine has finished all its work,
-	// including Shutdown's kill handshake.
-	exited sync.WaitGroup
 
 	// id names the engine in affinity diagnostics; dead marks an engine
 	// whose simulation was torn down by Shutdown. busy detects concurrent
@@ -245,9 +233,8 @@ var engineSeq atomic.Uint64
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		id:       engineSeq.Add(1),
-		mainWake: make(chan uint8),
-		live:     map[*Proc]struct{}{},
+		id:   engineSeq.Add(1),
+		live: map[*Proc]struct{}{},
 	}
 }
 
@@ -291,21 +278,18 @@ func (e *Engine) touch(what string) {
 // untouch releases the marker set by touch.
 func (e *Engine) untouch() { e.busy.Store(0) }
 
-// Shutdown terminates every parked process so their goroutines exit. Call
-// it when a simulation is abandoned (testbed teardown); the engine must
-// not be running. The engine remains usable only for inspection afterward.
+// Shutdown stops every parked process's coroutine: each unwinds (its
+// defers run) and its goroutine exits before Shutdown returns. Call it
+// when a simulation is abandoned (testbed teardown); the engine must not
+// be running. The engine remains usable only for inspection afterward.
 func (e *Engine) Shutdown() {
 	e.dead = true
 	if e.obs != nil {
 		e.obs.Shutdown(e.now)
 	}
 	for p := range e.live {
-		if p.done {
-			continue
-		}
-		p.kill = true
-		p.wake <- wakeKill
-		<-e.mainWake // the dying process hands control back
+		p.stop()
+		p.exit()
 	}
 	e.live = map[*Proc]struct{}{}
 	e.payloads.free = [payloadClasses][]*Payload{}
@@ -440,26 +424,18 @@ func (e *Engine) Stop() { e.stopped = true }
 // maxTime is Run's bound: later than any schedulable instant.
 const maxTime = Time(1<<63 - 1)
 
-// loop dispatches events in time order on the calling goroutine until the
-// queue drains, the bound passes, Stop is consumed, or a dispatched event
-// sets an unwind code (the carrier process was woken mid-loop, or a
-// process finished the run under the Run caller's feet). Any simulation
-// goroutine may run it — the carrier discipline guarantees exactly one
-// does at a time.
+// loop dispatches events in time order on the Run caller's goroutine
+// until the queue drains, the bound passes, or Stop is consumed. A panic
+// in an event or in a process it resumes comes out of it.
 //
 //putget:hot
-func (e *Engine) loop() int {
+func (e *Engine) loop() {
 	for !e.stopped && len(e.events) > 0 && e.events[0].at <= e.bound {
 		at, fn := e.popMin()
 		e.now = at
 		e.executed++
 		fn()
-		if u := e.unwind; u != unwindNone {
-			e.unwind = unwindNone
-			return u
-		}
 	}
-	return unwindNone
 }
 
 // Run executes events in time order until the queue drains or Stop is
@@ -495,16 +471,10 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Spawned reports the number of processes ever spawned on the engine.
 func (e *Engine) Spawned() uint64 { return e.spawned }
 
-// Handoffs reports the number of process resumes that switched
-// goroutines. A process woken while its own goroutine carries the event
-// loop (a self-wake) resumes with a flag store and is not counted.
+// Handoffs reports the number of switches into a process coroutine: its
+// start and every resume. A sleep that wakes in place (see
+// Proc.SleepUntil) does not switch and is not counted.
 func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // Live reports the number of processes that have started but not finished.
 func (e *Engine) Live() int { return e.procs }
-
-// WaitExited blocks until the goroutine of every process spawned on e has
-// returned. Call it after Shutdown (or once every process has finished):
-// Shutdown's handshake hands control back before a killed goroutine has
-// exited, so only this wait makes "no goroutine left" observable.
-func (e *Engine) WaitExited() { e.exited.Wait() }

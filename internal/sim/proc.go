@@ -1,41 +1,34 @@
+// iter needs Go 1.23; the tag lifts this file alone, go.mod stays at 1.22.
+//go:build go1.23
+
 package sim
 
-import "fmt"
-
-// Wake tokens travel the per-goroutine handoff channels.
-const (
-	wakeResume   = iota // you own the simulation: start, or return from park
-	wakeKill            // unwind via the kill sentinel (Shutdown)
-	wakeLoopDone        // (mainWake) the event loop finished; Run returns
-	wakeContinue        // (mainWake) a process died; Run's goroutine resumes the loop
-	wakePanic           // (mainWake) an event panicked; Run's goroutine re-panics
+import (
+	"fmt"
+	"iter"
 )
 
-// Unwind codes communicate, through Engine.unwind, why the innermost loop
-// frame must return. They are set inside a dispatched event and checked by
-// the loop after each dispatch.
-const (
-	unwindNone    = iota
-	unwindResumed // the carrier process was woken: return from park
-	unwindDone    // a process finished the loop; the Run caller returns
-)
-
-// Proc is a simulation process: a goroutine that runs model code and blocks
-// on virtual time. A Proc may only execute while the engine has handed
-// control to it; it returns control by sleeping, waiting, or finishing.
+// Proc is a simulation process: a coroutine that runs model code and
+// blocks on virtual time. A Proc may only execute while the engine has
+// switched into it; it returns control by sleeping, waiting, or
+// finishing.
 //
-// Control transfer follows the carrier discipline (see Engine.loop): a
-// parked process's own goroutine keeps running the event loop, so waking
-// the process whose wakeup is the next event — the overwhelmingly common
-// case in polling-heavy models — is a flag store, not a goroutine switch.
+// Each process is an iter.Pull coroutine and the event loop runs only on
+// the Run caller's goroutine: resume switches into the process (next),
+// and park switches back to the loop (yield). A sleep whose wakeup would
+// be the loop's very next event does not switch at all (see SleepUntil).
 type Proc struct {
 	e    *Engine
 	name string
-	wake chan uint8
 	done bool
-	kill bool
 	// timedOut is the verdict of the pending Signal.WaitUntil on waitSig.
 	timedOut bool
+
+	// next switches into the coroutine, stop unwinds it (Shutdown), and
+	// yield, captured when the coroutine starts, switches back out.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// resumeF is the resume method value, built once at spawn so the hot
 	// wake paths (Sleep, Signal.Broadcast, Resource.Release, ...) schedule
@@ -49,8 +42,9 @@ type Proc struct {
 	timeoutF func()
 }
 
-// procKilled is the sentinel panic value Shutdown injects into parked
-// processes; the spawn wrapper recovers it and exits cleanly.
+// procKilled is the sentinel panic value a parked process raises when
+// Shutdown stops its coroutine; the spawn wrapper recovers it and exits
+// cleanly.
 var procKilled = new(int)
 
 // Spawn starts fn as a new process at the current virtual time. fn begins
@@ -60,41 +54,37 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnAt starts fn as a new process at absolute virtual time t.
+// SpawnAt starts fn as a new process at absolute virtual time t. A panic
+// in fn ends the process and is re-raised out of Run/RunUntil.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	e.mustAlive("Spawn")
-	p := &Proc{e: e, name: name, wake: make(chan uint8)}
+	p := &Proc{e: e, name: name}
 	p.resumeF = p.resume
 	e.procs++
 	e.spawned++
 	e.live[p] = struct{}{}
-	e.exited.Add(1)
-	//putget:allow engineaffinity -- this IS sim.Proc: the one goroutine birth in the sim domain; the engine serializes it via the carrier handoff
-	go func() {
-		defer e.exited.Done() // runs last, after any handshake send
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			p.exit()
 			if r := recover(); r != nil && r != procKilled {
 				panic(r)
 			}
-			p.done = true
-			e.procs--
-			delete(e.live, p)
-			if p.kill {
-				e.mainWake <- wakeLoopDone // Shutdown's per-kill handshake
-				return
-			}
-			// Natural exit while carrying the loop: hand it back to the
-			// Run caller's goroutine, which resumes dispatching.
-			e.carrier = nil
-			e.mainWake <- wakeContinue
 		}()
-		if <-p.wake == wakeKill {
-			panic(procKilled)
-		}
 		fn(p)
-	}()
+	})
 	e.At(t, p.resumeF)
 	return p
+}
+
+// exit marks p finished. Shutdown calls it too, for a process whose
+// coroutine it stopped before the start event ran.
+func (p *Proc) exit() {
+	if !p.done {
+		p.done = true
+		p.e.procs--
+		delete(p.e.live, p)
+	}
 }
 
 // Name returns the process name (used in traces and panics).
@@ -109,89 +99,24 @@ func (p *Proc) Now() Time { return p.e.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// resume transfers the simulation to p. It runs in dispatch context, on
-// whichever goroutine currently carries the event loop. Fast path: when p
-// itself is the carrier (it parked and its own wakeup is the event being
-// dispatched), resumption is a flag store — no goroutine switch at all.
-// Otherwise the carrier wakes p's goroutine and blocks until the
-// simulation is handed back to it.
+// resume switches into p's coroutine. It runs in dispatch context on the
+// Run caller's goroutine and returns once p parks or finishes; a panic
+// in p comes out of it.
 //
 //putget:hot
 func (p *Proc) resume() {
-	e := p.e
-	c := e.carrier
-	if c == p {
-		e.unwind = unwindResumed
-		return
-	}
-	e.carrier = p
-	e.handoffs++
-	p.wake <- wakeResume
-	if c == nil {
-		// We are the Run caller: blocked until the loop finishes (a
-		// carrier drained it — Run returns), a process dies carrying it
-		// (we take the loop back over), or an event panics on a carrier
-		// (we re-raise it so Run's caller sees the panic, exactly as when
-		// the event runs on this goroutine directly).
-		switch <-e.mainWake {
-		case wakeLoopDone:
-			e.unwind = unwindDone
-		case wakePanic:
-			v := e.panicVal
-			e.panicVal = nil
-			panic(v)
-		}
-		return
-	}
-	// We are a parked process: blocked until our own wakeup dispatches,
-	// or Shutdown kills us.
-	if <-c.wake == wakeKill {
-		panic(procKilled)
-	}
-	e.unwind = unwindResumed
+	p.e.handoffs++
+	p.next()
 }
 
-// park returns control to the engine by running the event loop on this
-// goroutine until something resumes the process. If the loop finishes
-// first, completion is handed to the Run caller and the process stays
-// parked (a later Run may still wake it; Shutdown kills it). If a
-// dispatched event panics, the value is forwarded to the Run caller —
-// an event's panic must surface out of Run/RunUntil no matter whose
-// goroutine dispatched it — and the process likewise stays parked.
+// park switches back to the event loop until something resumes p. A
+// false from yield means Shutdown stopped the coroutine: p unwinds.
 //
 //putget:hot
 func (p *Proc) park() {
-	e := p.e
-	if p.carryLoop() == unwindNone {
-		e.carrier = nil
-		e.mainWake <- wakeLoopDone
-		if <-p.wake == wakeKill {
-			panic(procKilled)
-		}
+	if !p.yield(struct{}{}) {
+		panic(procKilled)
 	}
-}
-
-// carryLoop runs the event loop for park, converting a panic raised by a
-// dispatched event into a wakePanic handoff to the Run caller. The kill
-// sentinel is re-raised untouched: it means this process was terminated
-// while blocked inside a nested handoff, and must keep unwinding.
-func (p *Proc) carryLoop() (u int) {
-	e := p.e
-	defer func() {
-		if r := recover(); r != nil {
-			if r == procKilled {
-				panic(procKilled)
-			}
-			e.panicVal = r
-			e.carrier = nil
-			e.mainWake <- wakePanic
-			if <-p.wake == wakeKill {
-				panic(procKilled)
-			}
-			u = unwindResumed
-		}
-	}()
-	return e.loop()
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
@@ -202,19 +127,31 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.After(d, p.resumeF)
-	p.park()
+	p.SleepUntil(p.e.now.Add(d))
 }
 
 // SleepUntil suspends the process until absolute time t. If t is in the
 // past it panics (causality violation).
 //
+// When the wakeup would be the loop's next event — t is within the
+// run's bound, no Stop is pending, and nothing is queued at or before t
+// — it runs in place: the clock, the sequence number and the executed
+// count advance exactly as if the loop had popped it, and p keeps
+// running without a switch. Every event keeps its (at, seq).
+//
 //putget:hot
 func (p *Proc) SleepUntil(t Time) {
-	if t < p.e.now {
-		panic(fmt.Sprintf("sim: %s sleeping until %v which is before now %v", p.name, t, p.e.now))
+	e := p.e
+	if t < e.now {
+		panic(fmt.Sprintf("sim: %s sleeping until %v which is before now %v", p.name, t, e.now))
 	}
-	p.e.At(t, p.resumeF)
+	if t <= e.bound && !e.stopped && (len(e.events) == 0 || e.events[0].at > t) {
+		e.seq++
+		e.executed++
+		e.now = t
+		return
+	}
+	e.At(t, p.resumeF)
 	p.park()
 }
 

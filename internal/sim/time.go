@@ -1,11 +1,12 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel drives every hardware model in this repository: GPU warps,
-// host CPU threads, NIC engines and PCIe links are all sim processes that
-// advance a shared virtual clock. Determinism is guaranteed by a strict
-// handoff discipline: exactly one goroutine (either the engine or a single
-// process) runs at any instant, and simultaneous events fire in the order
-// they were scheduled.
+// The kernel drives every model in this repository: GPU warps and host
+// CPU threads are sim processes, and NIC engines and PCIe links are
+// event callbacks, all advancing a shared virtual clock. Determinism is
+// guaranteed by running one piece at a time: the event loop runs on the
+// Run caller's goroutine and switches into at most one process coroutine
+// at any instant, and simultaneous events fire in the order they were
+// scheduled.
 package sim
 
 import "fmt"

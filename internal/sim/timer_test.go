@@ -152,13 +152,12 @@ func TestPendingStopHonoredByRunUntil(t *testing.T) {
 }
 
 func TestEventPanicPropagatesFromProcCarriedLoop(t *testing.T) {
-	// An event callback that panics must surface out of Run even when the
-	// event happens to be dispatched by a parked process's goroutine
-	// (the carrier), not the Run caller's.
+	// An event callback that panics must surface out of Run with its
+	// original value while a process is resident, sleeping around it.
 	e := NewEngine()
-	e.Spawn("carrier", func(p *Proc) {
+	e.Spawn("resident", func(p *Proc) {
 		for {
-			p.Sleep(5) // resident: at t=10 this process carries the loop
+			p.Sleep(5) // its wakeups at t=5 and t=10 surround the event
 		}
 	})
 	e.At(10, func() { panic("boom from event") })
