@@ -6,7 +6,6 @@ GO ?= go
 
 build:
 	$(GO) build ./...
-	$(GO) build ./examples/...
 
 test:
 	$(GO) test ./...

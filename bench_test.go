@@ -260,7 +260,7 @@ func BenchmarkShmemPrimitives(b *testing.B) {
 			// Barrier cost.
 			s := int64(warp.Now())
 			for r := 0; r < rounds; r++ {
-				pe.Barrier(warp)
+				pe.BarrierAll(warp)
 			}
 			bSum = int64(warp.Now()) - s
 			// PutImm+WaitUntil ping-pong.
@@ -268,13 +268,13 @@ func BenchmarkShmemPrimitives(b *testing.B) {
 			s = int64(warp.Now())
 			for r := uint64(1); r <= rounds; r++ {
 				if pe.Rank == 0 {
-					pe.PutImm(warp, theirs, r)
-					pe.Quiet(warp)
+					pe.PutImmTo(warp, 1, theirs, r)
+					pe.QuietAll(warp)
 					pe.WaitUntil(warp, mine, r)
 				} else {
 					pe.WaitUntil(warp, theirs, r)
-					pe.PutImm(warp, mine, r)
-					pe.Quiet(warp)
+					pe.PutImmTo(warp, 0, mine, r)
+					pe.QuietAll(warp)
 				}
 			}
 			if pe.Rank == 0 {

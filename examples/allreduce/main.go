@@ -50,9 +50,10 @@ func main() {
 		}
 		// Exchange: put my vector into the peer's staging buffer; the
 		// barrier both flushes the puts and orders the reduction.
-		pe.Put(warp, staging, vec, int(bytes))
-		pe.Quiet(warp)
-		pe.Barrier(warp)
+		peer := 1 - pe.Rank
+		pe.PutTo(warp, peer, staging, vec, int(bytes))
+		pe.QuietAll(warp)
+		pe.BarrierAll(warp)
 		// Reduce: vec[i] += staging[i], a coalesced read-add-write sweep.
 		per := 8 * warp.Lanes
 		for off := 0; off < int(bytes); off += per {
@@ -63,7 +64,7 @@ func main() {
 			}
 			warp.StGlobalU64Coalesced(pe.Addr(vec+uint64(off)), vals)
 		}
-		pe.Barrier(warp)
+		pe.BarrierAll(warp)
 		if pe.Rank == 0 {
 			end = warp.Now()
 		}

@@ -108,9 +108,9 @@ func main() {
 	// the closing barrier guarantees the peer's partial has landed.
 	w.Run(func(pe *shmem.PE, warp *gpusim.Warp) {
 		mine := warp.LdGlobalU64(pe.Addr(partial))
-		pe.PutImm(warp, peerSum, mine)
-		pe.Quiet(warp)
-		pe.Barrier(warp)
+		pe.PutImmTo(warp, 1-pe.Rank, peerSum, mine)
+		pe.QuietAll(warp)
+		pe.BarrierAll(warp)
 	})
 
 	// Combine and verify on both PEs.

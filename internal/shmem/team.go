@@ -36,14 +36,8 @@ type Team struct {
 	seqs    []uint64 // per-team-rank barrier epoch
 }
 
-// Root returns the team spanning every rank of the world. Only N-rank
-// worlds have teams; pair worlds use the two-PE Barrier directly.
-func (w *World) Root() *Team {
-	if w.root == nil {
-		panic("shmem: teams need an N-rank world (NewWorldN); pair worlds have exactly two PEs")
-	}
-	return w.root
-}
+// Root returns the team spanning every rank of the world.
+func (w *World) Root() *Team { return w.root }
 
 // newTeam validates the member list and builds the rank tables.
 func (w *World) newTeam(label string, ranks []int) *Team {

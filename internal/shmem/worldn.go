@@ -1,11 +1,11 @@
 package shmem
 
-// N-rank worlds: one PE per node of a switched cluster. The pair world's
-// two implicit connections become an explicit (and sparse) connection
-// graph — World.Connect wires exactly the rank pairs an algorithm needs,
-// and the collectives in collectives.go connect their own peer sets at
-// plan time. Synchronization is the root team's dissemination barrier
-// (team.go), the N-rank generalization of the pair Barrier.
+// World construction, the connection graph and the device operations:
+// one PE per node of a cluster joined by any topology. The connection
+// graph is explicit and sparse — World.Connect wires exactly the rank
+// pairs an algorithm needs, and the collectives in collectives.go
+// connect their own peer sets at plan time. Synchronization is the root
+// team's dissemination barrier (team.go).
 //
 // Construction is lazy at every layer: NewWorldN builds only the switch
 // graph and the rank tables. A node and its PE materialize on the first
@@ -23,28 +23,13 @@ import (
 )
 
 // NewWorldN builds an n-PE world over an n-node cluster of the chosen
-// fabric, joined by the given topology. Each node contributes one PE
-// with a symmetric heap of heapSize bytes. Nothing per-rank is built
-// here; PEs and connections materialize on first touch, and collective
-// plans connect their own peers.
+// fabric, joined by the given topology (topo.Direct for the two-node
+// pair). Each node contributes one PE with a symmetric heap of heapSize
+// bytes. Nothing per-rank is built here; PEs and connections
+// materialize on first touch, and collective plans connect their own
+// peers.
 func NewWorldN(k transport.Kind, spec topo.Spec, n int, p cluster.Params, heapSize uint64) *World {
-	return NewWorldOnCluster(k, cluster.NewClusterOn(fabricOf(k), spec, n, p), heapSize)
-}
-
-// fabricOf names the cluster NIC family a transport kind drives.
-func fabricOf(k transport.Kind) cluster.Fabric {
-	if k == transport.KindIB {
-		return cluster.FabricIB
-	}
-	return cluster.FabricExtoll
-}
-
-// NewWorldOnCluster wraps an existing cluster in a SHMEM world — the
-// team-based core that NewWorldN delegates to. Useful when several
-// worlds should share one fabric, or when the caller tuned the cluster
-// directly.
-func NewWorldOnCluster(k transport.Kind, cl *cluster.Cluster, heapSize uint64) *World {
-	n := cl.N()
+	cl := cluster.NewClusterOn(fabricOf(k), spec, n, p)
 	w := &World{
 		CL:        cl,
 		Transport: transport.NewCluster(k, cl),
@@ -62,20 +47,25 @@ func NewWorldOnCluster(k transport.Kind, cl *cluster.Cluster, heapSize uint64) *
 	return w
 }
 
-// connHint picks the per-connection defaults an N-rank world uses: IB
-// rings live in GPU device memory (the paper's bufOnGPU placement, same
-// as the pair world's data connection).
+// fabricOf names the cluster NIC family a transport kind drives.
+func fabricOf(k transport.Kind) cluster.Fabric {
+	if k == transport.KindIB {
+		return cluster.FabricIB
+	}
+	return cluster.FabricExtoll
+}
+
+// connHint picks the per-connection defaults: IB rings live in GPU
+// device memory (the paper's bufOnGPU placement — claim 3's minimal-PCIe
+// completion detection).
 func (w *World) connHint() transport.ConnHint {
 	return transport.ConnHint{QueuesOnGPU: w.Transport.Kind() == transport.KindIB}
 }
 
 // Connect establishes the connection between ranks a and b if it does not
 // exist yet (idempotent), materializing both PEs first. Setup plane: call
-// before Run. Pair worlds are born fully connected and must not call this.
+// before Run.
 func (w *World) Connect(a, b int) {
-	if w.root == nil {
-		panic("shmem: Connect is for N-rank worlds; pair worlds are fully connected")
-	}
 	if a == b {
 		panic("shmem: Connect needs two distinct ranks")
 	}
@@ -107,7 +97,7 @@ func (pe *PE) ep(peer int) transport.Endpoint {
 	return ep
 }
 
-// ---- N-rank device-side operations ----
+// ---- device-side operations (called from GPU kernels) ----
 
 // PutTo copies n bytes from the local symmetric offset src to peer rank's
 // symmetric offset dst. Completion is asynchronous; call QuietAll (or
@@ -131,7 +121,8 @@ func (pe *PE) GetFrom(w *gpusim.Warp, peer int, dst, src uint64, n int) {
 }
 
 // QuietAll blocks until every outstanding PutTo/PutImmTo on every peer
-// connection has completed locally — the N-rank shmem_quiet.
+// connection has completed locally (the EXTOLL requester notification /
+// IB send CQE) — shmem_quiet on a fabric with in-order delivery.
 func (pe *PE) QuietAll(w *gpusim.Warp) {
 	for peer, out := range pe.outTo {
 		for out > 0 {

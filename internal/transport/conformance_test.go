@@ -298,6 +298,112 @@ func TestConformanceFetchAdd(t *testing.T) {
 	})
 }
 
+// TestConformanceSyncOpsBehindPut: a get or fetch-add posted while a
+// signaled put is still outstanding on the same endpoint returns only
+// after its own operation completed — the get's bytes have landed and
+// the fetch-add hands back the remote word's old value — and each put's
+// local completion is still reaped exactly once afterwards. Run from
+// device and from host code.
+func TestConformanceSyncOpsBehindPut(t *testing.T) {
+	const (
+		putSize = 64 << 10
+		getOff  = 128 << 10 // get source on B, destination on A
+		getSize = 4 << 10
+		ctrOff  = 512 << 10 // fetch-add word on B
+	)
+	setup := func(t *testing.T, k Kind) (*rig, []byte) {
+		r := newRig(t, k, cluster.Default(), ConnHint{Atomics: true})
+		payload := make([]byte, getSize)
+		for i := range payload {
+			payload[i] = byte(i*11 + 5)
+		}
+		if err := r.tb.B.GPU.HostWrite(r.bBuf+getOff, payload); err != nil {
+			t.Fatal(err)
+		}
+		var seed [8]byte
+		binary.LittleEndian.PutUint64(seed[:], 41)
+		if err := r.tb.B.GPU.HostWrite(r.bBuf+ctrOff, seed[:]); err != nil {
+			t.Fatal(err)
+		}
+		return r, payload
+	}
+	type result struct {
+		first, old uint64 // first get word seen on return; fetch-add result
+		comps      []Completion
+		extra      bool
+	}
+	check := func(t *testing.T, r *rig, payload []byte, res result) {
+		t.Helper()
+		if want := binary.LittleEndian.Uint64(payload); res.first != want {
+			t.Fatalf("get behind a put returned before its data landed: %#x != %#x", res.first, want)
+		}
+		got := make([]byte, getSize)
+		if err := r.tb.A.GPU.HostRead(r.aBuf+getOff, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("get behind a put read back wrong bytes")
+		}
+		if res.old != 41 {
+			t.Fatalf("fetch-add behind a put returned old = %d, want 41", res.old)
+		}
+		for i, c := range res.comps {
+			if c.Err || c.Timeout {
+				t.Fatalf("put %d completed with %+v", i, c)
+			}
+		}
+		if res.extra {
+			t.Fatal("reaped a third local completion from two flagged puts")
+		}
+	}
+	t.Run("device", func(t *testing.T) {
+		forBoth(t, func(t *testing.T, k Kind) {
+			r, payload := setup(t, k)
+			defer r.tb.Shutdown()
+			var res result
+			done := r.tb.A.GPU.Launch(gpusim.KernelConfig{Blocks: 1}, func(w *gpusim.Warp) {
+				r.a.DevPut(w, r.aR, 0, r.bR, 0, putSize, FlagLocalComp)
+				r.a.DevGet(w, r.aR, getOff, r.bR, getOff, getSize)
+				res.first = w.LdGlobalU64(r.aBuf + getOff)
+				r.a.DevPut(w, r.aR, 0, r.bR, 0, putSize, FlagLocalComp)
+				res.old = r.a.DevFetchAdd(w, 1, r.bR, ctrOff)
+				for i := 0; i < 2; i++ {
+					res.comps = append(res.comps, r.a.DevWaitComplete(w, CompLocal))
+				}
+				_, res.extra = r.a.DevTryComplete(w, CompLocal)
+			})
+			r.tb.E.Run()
+			mustDone(t, done, "sync-ops-behind-put kernel")
+			check(t, r, payload, res)
+		})
+	})
+	t.Run("host", func(t *testing.T) {
+		forBoth(t, func(t *testing.T, k Kind) {
+			r, payload := setup(t, k)
+			defer r.tb.Shutdown()
+			var res result
+			done := sim.NewCompletion(r.tb.E)
+			r.tb.E.Spawn("a.cpu", func(p *sim.Proc) {
+				r.a.HostPut(p, r.aR, 0, r.bR, 0, putSize, FlagLocalComp)
+				r.a.HostGet(p, r.aR, getOff, r.bR, getOff, getSize)
+				res.first = r.tb.A.CPU.ReadU64(p, r.aBuf+getOff)
+				r.a.HostPut(p, r.aR, 0, r.bR, 0, putSize, FlagLocalComp)
+				res.old = r.a.HostFetchAdd(p, 1, r.bR, ctrOff)
+				for i := 0; i < 2; i++ {
+					res.comps = append(res.comps, r.a.HostWaitComplete(p, CompLocal))
+				}
+				_, res.extra = r.a.HostTryComplete(p, CompLocal)
+				done.Complete()
+			})
+			r.tb.E.Run()
+			if !done.Done() {
+				t.Fatal("sync-ops-behind-put proc did not finish")
+			}
+			check(t, r, payload, res)
+		})
+	})
+}
+
 func TestConformanceHostMirrors(t *testing.T) {
 	forBoth(t, func(t *testing.T, k Kind) {
 		r := newRig(t, k, cluster.Default(), ConnHint{Atomics: true})

@@ -104,7 +104,10 @@ func (t *Verbs) connect(na, nb *cluster.Node, hint ConnHint) (Endpoint, Endpoint
 // ibEndpoint is one side of an IB queue-pair connection. txSeq numbers
 // posted operations (it becomes the WQE's WRID and, for remote
 // completions, the immediate the peer reaps as Completion.Value); rxSeq
-// numbers preposted arrival slots.
+// numbers preposted arrival slots. early holds local completions a get
+// or fetch-add reaped ahead of its own CQE (RC completes the send queue
+// in post order, so a signaled put posted earlier completes first); the
+// CompLocal waits hand those out before polling the send CQ.
 type ibEndpoint struct {
 	v         *core.Verbs
 	node      *cluster.Node
@@ -113,6 +116,7 @@ type ibEndpoint struct {
 	rxSeq     uint64
 	scratch   memspace.Addr
 	scratchMR *ibsim.MR
+	early     []Completion
 }
 
 // Node implements Endpoint.
@@ -187,6 +191,42 @@ func (e *ibEndpoint) cq(c CompClass) *core.VCQ {
 	return e.qp.RecvCQ
 }
 
+// popEarly hands out the oldest queued local completion, if any, for a
+// CompLocal wait.
+func (e *ibEndpoint) popEarly(c CompClass) (Completion, bool) {
+	if c != CompLocal || len(e.early) == 0 {
+		return Completion{}, false
+	}
+	comp := e.early[0]
+	e.early = e.early[1:]
+	return comp, true
+}
+
+// devReap polls the send CQ until the CQE of the operation posted as
+// wrid arrives, queueing every earlier CQE for the CompLocal waits.
+func (e *ibEndpoint) devReap(w *gpusim.Warp, wrid uint64) {
+	for {
+		//putget:allow boundedwait -- gets and fetch-adds are synchronous by definition: the operation's own CQE wait IS the operation; bounded gets go through DevTryComplete/DevWaitCompleteTimeout
+		cqe := e.v.DevPollCQ(w, e.qp.SendCQ)
+		if cqe.WRID == wrid {
+			return
+		}
+		e.early = append(e.early, cqeCompletion(cqe))
+	}
+}
+
+// hostReap is devReap's CPU-side mirror.
+func (e *ibEndpoint) hostReap(p *sim.Proc, wrid uint64) {
+	for {
+		//putget:allow boundedwait -- gets and fetch-adds are synchronous by definition: the operation's own CQE wait IS the operation
+		cqe := e.v.HostPollCQ(p, e.qp.SendCQ)
+		if cqe.WRID == wrid {
+			return
+		}
+		e.early = append(e.early, cqeCompletion(cqe))
+	}
+}
+
 func cqeCompletion(cqe ibsim.CQE) Completion {
 	return Completion{
 		Size: cqe.ByteLen, Value: uint64(cqe.Imm),
@@ -213,33 +253,42 @@ func (e *ibEndpoint) DevPutCollective(w *gpusim.Warp, src Region, srcOff uint64,
 // DevGet implements Endpoint: an RDMA read completes into the send CQ
 // when the response data has landed.
 func (e *ibEndpoint) DevGet(w *gpusim.Warp, dst Region, dstOff uint64, src Region, srcOff uint64, size int) {
-	e.v.DevPostSend(w, e.qp, e.getWQE(dst, dstOff, src, srcOff, size))
-	//putget:allow boundedwait -- get is synchronous by definition: the RDMA-read CQE wait IS the operation; bounded gets go through DevTryComplete/DevWaitCompleteTimeout
-	e.v.DevPollCQ(w, e.qp.SendCQ)
+	wqe := e.getWQE(dst, dstOff, src, srcOff, size)
+	e.v.DevPostSend(w, e.qp, wqe)
+	e.devReap(w, wqe.WRID)
 }
 
 // DevFetchAdd implements Endpoint: the atomic's CQE arrives after the old
 // value has landed in the scratch buffer, so the load below is ordered.
 func (e *ibEndpoint) DevFetchAdd(w *gpusim.Warp, addend uint64, dst Region, dstOff uint64) uint64 {
-	e.v.DevPostSend(w, e.qp, e.fetchAddWQE(addend, dst, dstOff))
-	//putget:allow boundedwait -- fetch-add is synchronous by definition: the CQE orders the old value's landing in scratch
-	e.v.DevPollCQ(w, e.qp.SendCQ)
+	wqe := e.fetchAddWQE(addend, dst, dstOff)
+	e.v.DevPostSend(w, e.qp, wqe)
+	e.devReap(w, wqe.WRID)
 	return w.LdGlobalU64(e.scratch)
 }
 
 // DevTryComplete implements Endpoint.
 func (e *ibEndpoint) DevTryComplete(w *gpusim.Warp, c CompClass) (Completion, bool) {
+	if comp, ok := e.popEarly(c); ok {
+		return comp, true
+	}
 	cqe, ok := e.v.DevTryPollCQ(w, e.cq(c))
 	return cqeCompletion(cqe), ok
 }
 
 // DevWaitComplete implements Endpoint.
 func (e *ibEndpoint) DevWaitComplete(w *gpusim.Warp, c CompClass) Completion {
+	if comp, ok := e.popEarly(c); ok {
+		return comp
+	}
 	return cqeCompletion(e.v.DevPollCQ(w, e.cq(c)))
 }
 
 // DevWaitCompleteTimeout implements Endpoint.
 func (e *ibEndpoint) DevWaitCompleteTimeout(w *gpusim.Warp, c CompClass, timeout sim.Duration) (Completion, bool) {
+	if comp, ok := e.popEarly(c); ok {
+		return comp, true
+	}
 	cqe, ok := e.v.DevPollCQTimeout(w, e.cq(c), timeout)
 	return cqeCompletion(cqe), ok
 }
@@ -256,32 +305,41 @@ func (e *ibEndpoint) HostPutImm(p *sim.Proc, value uint64, dst Region, dstOff ui
 
 // HostGet implements Endpoint.
 func (e *ibEndpoint) HostGet(p *sim.Proc, dst Region, dstOff uint64, src Region, srcOff uint64, size int) {
-	e.v.HostPostSend(p, e.qp, e.getWQE(dst, dstOff, src, srcOff, size))
-	//putget:allow boundedwait -- get is synchronous by definition: the RDMA-read CQE wait IS the operation
-	e.v.HostPollCQ(p, e.qp.SendCQ)
+	wqe := e.getWQE(dst, dstOff, src, srcOff, size)
+	e.v.HostPostSend(p, e.qp, wqe)
+	e.hostReap(p, wqe.WRID)
 }
 
 // HostFetchAdd implements Endpoint.
 func (e *ibEndpoint) HostFetchAdd(p *sim.Proc, addend uint64, dst Region, dstOff uint64) uint64 {
-	e.v.HostPostSend(p, e.qp, e.fetchAddWQE(addend, dst, dstOff))
-	//putget:allow boundedwait -- fetch-add is synchronous by definition: the CQE orders the old value's landing in scratch
-	e.v.HostPollCQ(p, e.qp.SendCQ)
+	wqe := e.fetchAddWQE(addend, dst, dstOff)
+	e.v.HostPostSend(p, e.qp, wqe)
+	e.hostReap(p, wqe.WRID)
 	return e.node.CPU.ReadU64(p, e.scratch)
 }
 
 // HostTryComplete implements Endpoint.
 func (e *ibEndpoint) HostTryComplete(p *sim.Proc, c CompClass) (Completion, bool) {
+	if comp, ok := e.popEarly(c); ok {
+		return comp, true
+	}
 	cqe, ok := e.v.HostTryPollCQ(p, e.cq(c))
 	return cqeCompletion(cqe), ok
 }
 
 // HostWaitComplete implements Endpoint.
 func (e *ibEndpoint) HostWaitComplete(p *sim.Proc, c CompClass) Completion {
+	if comp, ok := e.popEarly(c); ok {
+		return comp
+	}
 	return cqeCompletion(e.v.HostPollCQ(p, e.cq(c)))
 }
 
 // HostWaitCompleteTimeout implements Endpoint.
 func (e *ibEndpoint) HostWaitCompleteTimeout(p *sim.Proc, c CompClass, timeout sim.Duration) (Completion, bool) {
+	if comp, ok := e.popEarly(c); ok {
+		return comp, true
+	}
 	cqe, ok := e.v.HostPollCQTimeout(p, e.cq(c), timeout)
 	return cqeCompletion(cqe), ok
 }

@@ -9,17 +9,17 @@ import (
 // This file re-exports the two communication libraries layered on the
 // put/get APIs — the directions the paper's conclusion points to.
 
-// ShmemWorld is a two-PE OpenSHMEM-flavoured GPU job over the EXTOLL
-// fabric: symmetric heap, GPU-initiated Put/Get/PutImm, Quiet, Barrier,
-// FetchAdd and device-memory WaitUntil. See the allreduce and dotproduct
-// examples.
+// ShmemWorld is an OpenSHMEM-flavoured GPU job, one PE per node:
+// symmetric heap, GPU-initiated PutTo/GetFrom/PutImmTo to a peer rank,
+// QuietAll, BarrierAll, device-memory WaitUntil, teams and collectives.
+// See the allreduce, dotproduct and collectives examples.
 type ShmemWorld = shmem.World
 
 // ShmemPE is one processing element of a ShmemWorld.
 type ShmemPE = shmem.PE
 
-// NewShmemWorld builds a two-PE SHMEM job with the given symmetric heap
-// size per GPU.
+// NewShmemWorld builds the two-GPU SHMEM job — the 2-rank world over
+// EXTOLL on a direct cable — with the given symmetric heap size per GPU.
 func NewShmemWorld(p Params, heapBytes uint64) *ShmemWorld {
 	return shmem.NewWorld(p, heapBytes)
 }

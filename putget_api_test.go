@@ -1,10 +1,12 @@
 package putget_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"putget"
+	"putget/internal/gpusim"
 )
 
 func TestModeAndFabricStrings(t *testing.T) {
@@ -138,8 +140,22 @@ func TestShmemFacade(t *testing.T) {
 		t.Fatal("PE ranks wrong")
 	}
 	off := w.Malloc(64)
-	if err := w.PE(0).HostWrite(off, []byte{1, 2, 3}); err != nil {
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := w.PE(0).HostWrite(off, payload); err != nil {
 		t.Fatal(err)
+	}
+	w.Run(func(pe *putget.ShmemPE, warp *gpusim.Warp) {
+		if pe.Rank == 0 {
+			pe.PutTo(warp, 1, off, off, len(payload))
+			pe.QuietAll(warp)
+		}
+	})
+	got := make([]byte, len(payload))
+	if err := w.PE(1).HostRead(off, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("rank 1 read %v after PutTo+QuietAll, want %v", got, payload)
 	}
 }
 
