@@ -86,6 +86,40 @@ func TestGlobalMemoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGlobalU64DoesNotAllocate pins a warp's 64-bit device-memory store
+// and load at zero allocations per op: the word goes through the space's
+// in-place word access, not a byte buffer on the heap.
+func TestGlobalU64DoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(w *Warp, addr memspace.Addr, v uint64)
+	}{
+		{"StGlobalU64", func(w *Warp, addr memspace.Addr, v uint64) { w.StGlobalU64(addr, v) }},
+		{"LdGlobalU64", func(w *Warp, addr memspace.Addr, v uint64) { w.LdGlobalU64(addr) }},
+	} {
+		r := newRig(t)
+		base := r.g.DevMem().Base
+		var ops uint64
+		r.g.Launch(KernelConfig{Blocks: 1, ThreadsPerBlock: 1}, func(w *Warp) {
+			for {
+				tc.op(w, base+64, ops)
+				ops++
+			}
+		})
+		// step runs the engine until the warp has done one more op.
+		step := func() {
+			for want := ops + 1; ops < want; {
+				r.e.RunUntil(r.e.Now() + sim.Time(sim.Nanosecond))
+			}
+		}
+		step()
+		if got := testing.AllocsPerRun(1000, step); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
+		}
+		r.e.Shutdown()
+	}
+}
+
 func TestL2HitMissSequence(t *testing.T) {
 	r := newRig(t)
 	base := r.g.DevMem().Base

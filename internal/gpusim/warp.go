@@ -88,12 +88,27 @@ func sectors(n int) uint64 {
 
 // ldGlobal performs a coalesced warp load of n contiguous bytes.
 func (w *Warp) ldGlobal(addr memspace.Addr, buf []byte) {
+	lat := w.ldProbe(addr, len(buf))
+	// Snapshot the data at probe time: a hit returns the cached epoch's
+	// value even if a DMA write lands during the access latency. (The
+	// write invalidates the sector, so the next access misses and reads
+	// fresh data — exactly how device-memory polling behaves on hardware.)
+	if err := w.g.f.Space().Read(addr, buf); err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
+	}
+	w.p.Sleep(lat)
+}
+
+// ldProbe issues a coalesced load of n bytes at addr, probes its L2
+// sectors and returns the load's latency; the caller reads the data
+// (the probe-time snapshot) and then sleeps that long.
+func (w *Warp) ldProbe(addr memspace.Addr, n int) sim.Duration {
 	w.g.ctr.MemAccesses++
-	w.g.ctr.L2ReadRequests += sectors(len(buf))
+	w.g.ctr.L2ReadRequests += sectors(n)
 	w.issue(1)
 	hit := true
 	base := uint64(addr) &^ 31
-	end := uint64(addr) + uint64(len(buf))
+	end := uint64(addr) + uint64(n)
 	for s := base; s < end; s += 32 {
 		if !w.g.l2.Access(s, false) {
 			hit = false
@@ -102,52 +117,60 @@ func (w *Warp) ldGlobal(addr memspace.Addr, buf []byte) {
 			w.g.ctr.L2ReadHits++
 		}
 	}
-	// Snapshot the data at probe time: a hit returns the cached epoch's
-	// value even if a DMA write lands during the access latency. (The
-	// write invalidates the sector, so the next access misses and reads
-	// fresh data — exactly how device-memory polling behaves on hardware.)
-	if err := w.g.f.Space().Read(addr, buf); err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-	}
 	lat := w.g.cfg.L2HitLatency
 	if !hit {
 		lat += w.g.cfg.DevMemLatency
 	}
-	w.p.Sleep(lat)
+	return lat
 }
 
 // stGlobal performs a coalesced warp store of n contiguous bytes
 // (write-through functionally; fire-and-forget timing beyond issue).
 func (w *Warp) stGlobal(addr memspace.Addr, data []byte) {
-	w.g.ctr.MemAccesses++
-	w.g.ctr.L2WriteRequests += sectors(len(data))
-	w.issue(1)
-	base := uint64(addr) &^ 31
-	end := uint64(addr) + uint64(len(data))
-	for s := base; s < end; s += 32 {
-		w.g.l2.Access(s, true)
-	}
+	w.stIssue(addr, len(data))
 	if err := w.g.f.Space().Write(addr, data); err != nil {
 		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
 	}
 }
 
+// stIssue issues a coalesced store of n bytes at addr and marks its L2
+// sectors written; the caller then writes the data.
+func (w *Warp) stIssue(addr memspace.Addr, n int) {
+	w.g.ctr.MemAccesses++
+	w.g.ctr.L2WriteRequests += sectors(n)
+	w.issue(1)
+	base := uint64(addr) &^ 31
+	end := uint64(addr) + uint64(n)
+	for s := base; s < end; s += 32 {
+		w.g.l2.Access(s, true)
+	}
+}
+
 // LdGlobalU64 loads a 64-bit word from device memory.
+//
+//putget:hot
 func (w *Warp) LdGlobalU64(addr memspace.Addr) uint64 {
 	w.mustDevice(addr, "LdGlobalU64")
 	w.g.ctr.Globmem64Reads++
-	var b [8]byte
-	w.ldGlobal(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	lat := w.ldProbe(addr, 8)
+	v, err := w.g.f.Space().ReadU64(addr)
+	if err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
+	}
+	w.p.Sleep(lat)
+	return v
 }
 
 // StGlobalU64 stores a 64-bit word to device memory.
+//
+//putget:hot
 func (w *Warp) StGlobalU64(addr memspace.Addr, v uint64) {
 	w.mustDevice(addr, "StGlobalU64")
 	w.g.ctr.Globmem64Writes++
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.stGlobal(addr, b[:])
+	w.stIssue(addr, 8)
+	if err := w.g.f.Space().WriteU64(addr, v); err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
+	}
 }
 
 // LdGlobalU64Coalesced loads Lanes consecutive 64-bit words starting at

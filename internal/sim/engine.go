@@ -5,132 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// event is a scheduled callback. seq breaks ties between events scheduled
-// for the same instant, preserving schedule order. Events are value-typed
-// and live directly in the engine's heap slice: scheduling neither
-// heap-allocates an event nor boxes it through an interface (the old
-// *event + container/heap queue paid both per event). tslot links a
-// cancellable event to its timer slot, -1 for plain events.
-type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	tslot int32
-}
-
-// evLess orders events by (time, schedule order).
-func evLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// setPos records an event's current heap index in its timer slot, so
-// Timer.Cancel can remove it from the middle of the heap in O(log n).
-//
-//putget:hot
-func (e *Engine) setPos(i int) {
-	if t := e.events[i].tslot; t >= 0 {
-		e.timers[t].pos = int32(i)
-	}
-}
-
-// The queue is a 4-ary min-heap: half the depth of a binary heap and the
-// four children of a node sit in adjacent cache lines, which is worth
-// ~30% on the pop-dominated access pattern of a simulation run. Any
-// valid heap yields the same pop order — (at, seq) is a total order — so
-// arity is invisible to simulation results.
-
-// siftUp restores the heap invariant after inserting at index i. It moves
-// the hole rather than swapping, so each displaced event is written once.
-//
-//putget:hot
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !evLess(&ev, &e.events[parent]) {
-			break
-		}
-		e.events[i] = e.events[parent]
-		e.setPos(i)
-		i = parent
-	}
-	e.events[i] = ev
-	e.setPos(i)
-}
-
-// siftDown restores the heap invariant below index i and reports whether
-// the element moved (Cancel uses that to decide whether to sift up).
-//
-//putget:hot
-func (e *Engine) siftDown(i int) bool {
-	n := len(e.events)
-	ev := e.events[i]
-	start := i
-	for {
-		l := 4*i + 1
-		if l >= n {
-			break
-		}
-		end := l + 4
-		if end > n {
-			end = n
-		}
-		m := l
-		for c := l + 1; c < end; c++ {
-			if evLess(&e.events[c], &e.events[m]) {
-				m = c
-			}
-		}
-		if !evLess(&e.events[m], &ev) {
-			break
-		}
-		e.events[i] = e.events[m]
-		e.setPos(i)
-		i = m
-	}
-	e.events[i] = ev
-	e.setPos(i)
-	return i != start
-}
-
-// popMin removes and returns the earliest event. The vacated tail slot is
-// zeroed so the heap does not retain the callback closure.
-//
-//putget:hot
-func (e *Engine) popMin() (Time, func()) {
-	ev := e.events[0]
-	if ev.tslot >= 0 {
-		e.freeTimerSlot(ev.tslot)
-	}
-	n := len(e.events) - 1
-	if n > 0 {
-		e.events[0] = e.events[n]
-		e.setPos(0)
-	}
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return ev.at, ev.fn
-}
-
-// removeEvent deletes the event at heap index i (Timer.Cancel path).
-//
-//putget:hot
-func (e *Engine) removeEvent(i int) {
-	n := len(e.events) - 1
-	if i != n {
-		e.events[i] = e.events[n]
-		e.setPos(i)
-	}
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if i < n && !e.siftDown(i) {
-		e.siftUp(i)
-	}
-}
-
 // Engine owns the virtual clock and the pending-event queue.
 //
 // All simulation code — event callbacks and process bodies — runs one
@@ -140,18 +14,13 @@ func (e *Engine) removeEvent(i int) {
 // simulation is not supported.
 type Engine struct {
 	now      Time
-	events   []event
 	seq      uint64
 	executed uint64
 	spawned  uint64 // processes ever spawned
 	handoffs uint64 // switches into a process coroutine
 
-	// timers backs cancellable events: slot i holds the heap position of
-	// the event AtTimer armed (or -1 once it fired or was cancelled) plus
-	// a generation counter that invalidates stale handles when the slot
-	// is recycled through freeT.
-	timers []timerSlot
-	freeT  []int32
+	// q holds the pending events (see queue.go).
+	q calendar
 
 	// bound is the time limit of the current Run/RunUntil; a process
 	// sleep wakes in place only within it (see Proc.SleepUntil).
@@ -232,10 +101,12 @@ var engineSeq atomic.Uint64
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
+	e := &Engine{
 		id:   engineSeq.Add(1),
 		live: map[*Proc]struct{}{},
 	}
+	e.q.init()
+	return e
 }
 
 // ID returns the engine's process-unique id (used in diagnostics).
@@ -293,9 +164,7 @@ func (e *Engine) Shutdown() {
 	}
 	e.live = map[*Proc]struct{}{}
 	e.payloads.free = [payloadClasses][]*Payload{}
-	e.events = nil
-	e.timers = nil
-	e.freeT = nil
+	e.q = calendar{}
 }
 
 // Now returns the current virtual time.
@@ -383,15 +252,16 @@ func (e *Engine) Metric(comp, name string, value float64) {
 //
 //putget:hot
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, fn, -1)
+	e.schedule(t, fn)
 }
 
-// schedule is the shared insertion path for At and AtTimer. The affinity
-// bracket is inlined (no defer) — this runs once per scheduled event and
-// is the hottest function in the simulator.
+// schedule is the shared insertion path for At and AtTimer; it returns
+// the event's node. The affinity bracket is inlined (no defer) — this
+// runs once per scheduled event and is the hottest function in the
+// simulator.
 //
 //putget:hot
-func (e *Engine) schedule(t Time, fn func(), tslot int32) {
+func (e *Engine) schedule(t Time, fn func()) int32 {
 	e.mustAlive("At")
 	e.touch("At")
 	if t < e.now {
@@ -399,9 +269,9 @@ func (e *Engine) schedule(t Time, fn func(), tslot int32) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn, tslot: tslot})
-	e.siftUp(len(e.events) - 1)
+	i := e.q.push(t, e.seq, fn, e.now)
 	e.untouch()
+	return i
 }
 
 // After schedules fn to run d after the current time.
@@ -430,8 +300,13 @@ const maxTime = Time(1<<63 - 1)
 //
 //putget:hot
 func (e *Engine) loop() {
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= e.bound {
-		at, fn := e.popMin()
+	for !e.stopped && e.q.n > 0 {
+		i := e.q.locate(e.now)
+		at := e.q.nodes[i].at
+		if at > e.bound {
+			break
+		}
+		fn := e.q.remove(i, e.now)
 		e.now = at
 		e.executed++
 		fn()
@@ -461,7 +336,7 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.n }
 
 // Executed reports the total number of events the engine has run — a
 // deterministic measure of simulation work (virtual-event throughput

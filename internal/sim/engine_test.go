@@ -198,28 +198,35 @@ func TestSleepUntilPastPanics(t *testing.T) {
 }
 
 // Property: for any set of event offsets, events fire in nondecreasing
-// time order and the clock ends at the max offset.
+// time order, events at equal times fire in schedule order, and the
+// clock ends at the max offset.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(offsets []uint16) bool {
 		if len(offsets) == 0 {
 			return true
 		}
 		e := NewEngine()
-		var seen []Time
+		type firing struct {
+			at Time
+			k  int // schedule order
+		}
+		var seen []firing
 		var max Time
-		for _, off := range offsets {
-			at := Time(off)
+		for k, off := range offsets {
+			// Coarse offsets make ties common.
+			at := Time(off % 64)
 			if at > max {
 				max = at
 			}
-			e.At(at, func() { seen = append(seen, e.Now()) })
+			e.At(at, func() { seen = append(seen, firing{e.Now(), k}) })
 		}
 		e.Run()
 		if len(seen) != len(offsets) {
 			return false
 		}
 		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
+			a, b := seen[i-1], seen[i]
+			if b.at < a.at || b.at == a.at && b.k < a.k {
 				return false
 			}
 		}
@@ -339,7 +346,8 @@ func TestEngineUsableForInspectionAfterShutdown(t *testing.T) {
 // churn (the KV coordinator's deadline pattern), one
 // engine→proc→engine handoff, Signal Wait/WaitUntil/Broadcast parks,
 // Pulse wakes and contended Resource Acquire/Release — the last two with
-// a process and a callback in each wait queue.
+// a process and a callback in each wait queue — and a pop, reschedule
+// and timer arm/cancel in a queue 512 events deep.
 func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	fn := func() {}
 
@@ -459,12 +467,42 @@ func TestEngineLoopsDoNotAllocate(t *testing.T) {
 	}
 	contend()
 
+	// A deep queue: 512 events over 0-4 us, 64 of them tied at one
+	// instant. Each op pops one event, which reschedules itself, then
+	// arms a timer among them and cancels it.
+	deep := NewEngine()
+	defer deep.Shutdown()
+	var hops int
+	var hop func()
+	hop = func() {
+		hops++
+		deep.After(Duration(hops%64)*64*Nanosecond, hop)
+		deep.Stop()
+	}
+	for i := 0; i < 512; i++ {
+		at := Time(i%64) * 64 * Time(Nanosecond)
+		if i < 64 {
+			at = 2 * Time(Microsecond)
+		}
+		deep.At(at, hop)
+	}
+	depth := func() {
+		deep.Run()
+		deep.AfterTimer(2*Microsecond, fn).Cancel()
+	}
+	for i := 0; i < 1000; i++ {
+		depth()
+	}
+	if deep.Pending() != 512 {
+		t.Fatalf("deep queue holds %d events, want 512", deep.Pending())
+	}
+
 	for _, tc := range []struct {
 		name string
 		op   func()
 	}{
 		{"schedule", schedule}, {"timer", churn}, {"handoff", handoff}, {"signal", signal},
-		{"pulse", pulse}, {"resource", contend},
+		{"pulse", pulse}, {"resource", contend}, {"deep", depth},
 	} {
 		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)

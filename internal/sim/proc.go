@@ -145,7 +145,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: %s sleeping until %v which is before now %v", p.name, t, e.now))
 	}
-	if t <= e.bound && !e.stopped && (len(e.events) == 0 || e.events[0].at > t) {
+	if t <= e.bound && !e.stopped && (e.q.n == 0 || e.q.nodes[e.q.locate(e.now)].at > t) {
 		e.seq++
 		e.executed++
 		e.now = t

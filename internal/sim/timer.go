@@ -1,15 +1,5 @@
 package sim
 
-// timerSlot is the engine-side record of one cancellable event: its
-// current heap position (-1 once fired or cancelled) and a generation
-// counter. Slots are recycled through a free list, so arming a timer in
-// steady state allocates nothing; the generation makes a handle to a
-// recycled slot inert instead of cancelling someone else's timer.
-type timerSlot struct {
-	pos int32
-	gen uint32
-}
-
 // Timer is a handle to a cancellable scheduled event, returned by
 // AtTimer/AfterTimer. The zero Timer is valid and inert: Cancel and
 // Active on it return false, so callers can hold one unconditionally and
@@ -20,9 +10,13 @@ type timerSlot struct {
 // "just in case" (a wait deadline, a retry watchdog) whose condition
 // resolves early would otherwise sit in the queue until its instant
 // passes, retaining its closure (and anything it captures, typically a
-// *Proc or a request record) and inflating Pending and the heap. Cancel
-// removes the event from the middle of the queue in O(log n); a
-// cancelled event is never executed and never counts toward Executed.
+// *Proc or a request record) and inflating Pending and the queue. Cancel
+// unlinks the event from the middle of the queue in O(1); a cancelled
+// event is never executed and never counts toward Executed.
+//
+// The handle names the event's queue node; the node's generation, bumped
+// each time the node is released, makes a handle to a recycled node
+// inert instead of cancelling someone else's event.
 type Timer struct {
 	e   *Engine
 	idx int32
@@ -34,10 +28,8 @@ type Timer struct {
 //
 //putget:hot
 func (e *Engine) AtTimer(t Time, fn func()) Timer {
-	idx := e.allocTimerSlot()
-	gen := e.timers[idx].gen
-	e.schedule(t, fn, idx)
-	return Timer{e: e, idx: idx, gen: gen}
+	idx := e.schedule(t, fn)
+	return Timer{e: e, idx: idx, gen: e.q.nodes[idx].gen}
 }
 
 // AfterTimer schedules fn d after the current time and returns a
@@ -58,52 +50,17 @@ func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 //
 //putget:hot
 func (t Timer) Cancel() bool {
+	if !t.Active() {
+		return false
+	}
 	e := t.e
-	if e == nil || e.dead {
-		return false
-	}
-	s := &e.timers[t.idx]
-	if s.gen != t.gen || s.pos < 0 {
-		return false
-	}
 	e.touch("Timer.Cancel")
-	e.removeEvent(int(s.pos))
-	e.freeTimerSlot(t.idx)
+	e.q.remove(t.idx, e.now)
 	e.untouch()
 	return true
 }
 
 // Active reports whether the timer's event is still queued.
 func (t Timer) Active() bool {
-	if t.e == nil || t.e.dead {
-		return false
-	}
-	s := &t.e.timers[t.idx]
-	return s.gen == t.gen && s.pos >= 0
-}
-
-// allocTimerSlot returns a free slot index, recycling cancelled/fired
-// slots before growing the table.
-//
-//putget:hot
-func (e *Engine) allocTimerSlot() int32 {
-	if k := len(e.freeT); k > 0 {
-		idx := e.freeT[k-1]
-		e.freeT = e.freeT[:k-1]
-		return idx
-	}
-	e.timers = append(e.timers, timerSlot{})
-	return int32(len(e.timers) - 1)
-}
-
-// freeTimerSlot retires a slot when its event fires or is cancelled: the
-// generation bump invalidates outstanding handles before the slot is
-// recycled.
-//
-//putget:hot
-func (e *Engine) freeTimerSlot(idx int32) {
-	s := &e.timers[idx]
-	s.pos = -1
-	s.gen++
-	e.freeT = append(e.freeT, idx)
+	return t.e != nil && !t.e.dead && t.e.q.nodes[t.idx].gen == t.gen
 }
