@@ -150,7 +150,7 @@ func TestLazyBuildAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		base float64
-	}{{256, 6426}, {1024, 27421}} {
+	}{{256, 5403}, {1024, 23328}} {
 		got := testing.AllocsPerRun(2, func() {
 			NewClusterOn(FabricExtoll, topo.Spec{Kind: topo.FatTree}, tc.n, p).Shutdown()
 		})

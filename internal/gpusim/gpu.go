@@ -158,11 +158,16 @@ func (g *GPU) HostWrite(addr memspace.Addr, data []byte) error {
 	if err := g.f.Space().Write(addr, data); err != nil {
 		return err
 	}
-	// Keep the cache honest: DMA'd data replaces whatever was cached.
-	g.l2.InvalidateRange(uint64(addr), len(data))
+	g.hostWrote(addr, len(data))
+	return nil
+}
+
+// hostWrote keeps the cache honest after a host write of n bytes at
+// addr: DMA'd data replaces whatever was cached.
+func (g *GPU) hostWrote(addr memspace.Addr, n int) {
+	g.l2.InvalidateRange(uint64(addr), n)
 	g.inboundEpoch++
 	g.inboundSig.Broadcast()
-	return nil
 }
 
 // HostRead copies data out of the simulated machine without charging time.
@@ -172,11 +177,11 @@ func (g *GPU) HostRead(addr memspace.Addr, data []byte) error {
 
 // HostWriteU64 writes one 64-bit word, zero-time.
 func (g *GPU) HostWriteU64(addr memspace.Addr, v uint64) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
+	if err := g.f.Space().WriteU64(addr, v); err != nil {
+		return err
 	}
-	return g.HostWrite(addr, b[:])
+	g.hostWrote(addr, 8)
+	return nil
 }
 
 // HostReadU64 reads one 64-bit word, zero-time.

@@ -86,30 +86,42 @@ func TestGlobalMemoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGlobalU64DoesNotAllocate pins a warp's 64-bit device-memory store
-// and load at zero allocations per op: the word goes through the space's
-// in-place word access, not a byte buffer on the heap.
+// TestGlobalU64DoesNotAllocate pins a warp's word accesses at zero
+// allocations per op, once warm: device-memory loads, stores and atomics
+// go through the space's in-place word access, system-memory loads read
+// into the fabric's pooled read op, and system-memory stores carry their
+// word in a pooled posted-write op. HostWriteU64 rides along.
 func TestGlobalU64DoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		op   func(w *Warp, addr memspace.Addr, v uint64)
+		op   func(w *Warp, dev, host memspace.Addr, v uint64)
 	}{
-		{"StGlobalU64", func(w *Warp, addr memspace.Addr, v uint64) { w.StGlobalU64(addr, v) }},
-		{"LdGlobalU64", func(w *Warp, addr memspace.Addr, v uint64) { w.LdGlobalU64(addr) }},
+		{"StGlobalU64", func(w *Warp, dev, _ memspace.Addr, v uint64) { w.StGlobalU64(dev, v) }},
+		{"LdGlobalU64", func(w *Warp, dev, _ memspace.Addr, _ uint64) { w.LdGlobalU64(dev) }},
+		{"AtomicAddGlobalU64", func(w *Warp, dev, _ memspace.Addr, v uint64) { w.AtomicAddGlobalU64(dev, v) }},
+		{"CASGlobalU64", func(w *Warp, dev, _ memspace.Addr, v uint64) { w.CASGlobalU64(dev, v, v+1) }},
+		{"StSysU64", func(w *Warp, _, host memspace.Addr, v uint64) { w.StSysU64(host, v) }},
+		{"StSysU32", func(w *Warp, _, host memspace.Addr, v uint64) { w.StSysU32(host, uint32(v)) }},
+		{"LdSysU64", func(w *Warp, _, host memspace.Addr, _ uint64) { w.LdSysU64(host) }},
+		{"LdSysU32", func(w *Warp, _, host memspace.Addr, _ uint64) { w.LdSysU32(host) }},
+		{"HostWriteU64", func(w *Warp, dev, _ memspace.Addr, v uint64) {
+			w.GPU().HostWriteU64(dev, v)
+			w.Exec(1)
+		}},
 	} {
 		r := newRig(t)
 		base := r.g.DevMem().Base
 		var ops uint64
 		r.g.Launch(KernelConfig{Blocks: 1, ThreadsPerBlock: 1}, func(w *Warp) {
 			for {
-				tc.op(w, base+64, ops)
+				tc.op(w, base+64, r.host.Base+64, ops)
 				ops++
 			}
 		})
 		// step runs the engine until the warp has done one more op.
 		step := func() {
 			for want := ops + 1; ops < want; {
-				r.e.RunUntil(r.e.Now() + sim.Time(sim.Nanosecond))
+				r.e.RunUntil(r.e.Now() + sim.Time(10*sim.Nanosecond))
 			}
 		}
 		step()

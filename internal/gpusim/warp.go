@@ -65,14 +65,18 @@ func (w *Warp) Exec(n int) { w.issue(n) }
 // instruction.
 func (w *Warp) SyncWarp() { w.issue(1) }
 
-// acquirePCIe claims one of the GPU's outstanding-PCIe-operation slots;
-// returns a release func (no-op when unlimited).
-func (w *Warp) acquirePCIe() func() {
-	if w.g.pcieSlots == nil {
-		return func() {}
+// acquirePCIe claims one of the GPU's outstanding-PCIe-operation slots
+// (none to claim when unlimited); releasePCIe returns it.
+func (w *Warp) acquirePCIe() {
+	if w.g.pcieSlots != nil {
+		w.g.pcieSlots.Acquire(w.p)
 	}
-	w.g.pcieSlots.Acquire(w.p)
-	return w.g.pcieSlots.Release
+}
+
+func (w *Warp) releasePCIe() {
+	if w.g.pcieSlots != nil {
+		w.g.pcieSlots.Release()
+	}
 }
 
 // sectors returns the number of 32-byte transactions for n contiguous
@@ -153,10 +157,7 @@ func (w *Warp) LdGlobalU64(addr memspace.Addr) uint64 {
 	w.mustDevice(addr, "LdGlobalU64")
 	w.g.ctr.Globmem64Reads++
 	lat := w.ldProbe(addr, 8)
-	v, err := w.g.f.Space().ReadU64(addr)
-	if err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-	}
+	v := w.ldWord(addr)
 	w.p.Sleep(lat)
 	return v
 }
@@ -168,6 +169,20 @@ func (w *Warp) StGlobalU64(addr memspace.Addr, v uint64) {
 	w.mustDevice(addr, "StGlobalU64")
 	w.g.ctr.Globmem64Writes++
 	w.stIssue(addr, 8)
+	w.stWord(addr, v)
+}
+
+// ldWord and stWord are the functional (zero-time) word accesses of
+// device memory.
+func (w *Warp) ldWord(addr memspace.Addr) uint64 {
+	v, err := w.g.f.Space().ReadU64(addr)
+	if err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
+	}
+	return v
+}
+
+func (w *Warp) stWord(addr memspace.Addr, v uint64) {
 	if err := w.g.f.Space().WriteU64(addr, v); err != nil {
 		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
 	}
@@ -230,12 +245,11 @@ func (w *Warp) LdSysU64(addr memspace.Addr) uint64 {
 	w.g.ctr.L2ReadRequests++ // traverses L2, never hits (uncached)
 	w.g.ctr.L2ReadMisses++
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	var b [8]byte
-	w.g.f.Read(w.p, w.g.ep, addr, b[:])
-	release()
-	return binary.LittleEndian.Uint64(b[:])
+	v := w.g.f.ReadWord(w.p, w.g.ep, addr, 8)
+	w.releasePCIe()
+	return v
 }
 
 // LdSysU32 loads a 32-bit word from system memory.
@@ -246,12 +260,11 @@ func (w *Warp) LdSysU32(addr memspace.Addr) uint32 {
 	w.g.ctr.L2ReadRequests++
 	w.g.ctr.L2ReadMisses++
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	var b [4]byte
-	w.g.f.Read(w.p, w.g.ep, addr, b[:])
-	release()
-	return binary.LittleEndian.Uint32(b[:])
+	v := w.g.f.ReadWord(w.p, w.g.ep, addr, 4)
+	w.releasePCIe()
+	return uint32(v)
 }
 
 // StSysU64 posts a 64-bit store to system memory or MMIO. The warp pays
@@ -262,12 +275,10 @@ func (w *Warp) StSysU64(addr memspace.Addr, v uint64) {
 	w.g.ctr.SysmemWrites32B++
 	w.g.ctr.L2WriteRequests++
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	w.g.f.PostedWrite(w.g.ep, addr, b)
-	release()
+	w.g.f.PostedWriteWord(w.g.ep, addr, v, 8)
+	w.releasePCIe()
 }
 
 // StSysU32 posts a 32-bit store to system memory or MMIO.
@@ -277,12 +288,10 @@ func (w *Warp) StSysU32(addr memspace.Addr, v uint32) {
 	w.g.ctr.SysmemWrites32B++
 	w.g.ctr.L2WriteRequests++
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, v)
-	w.g.f.PostedWrite(w.g.ep, addr, b)
-	release()
+	w.g.f.PostedWriteWord(w.g.ep, addr, uint64(v), 4)
+	w.releasePCIe()
 }
 
 // StSysCoalesced posts data (multiple of 8 bytes, ≤ Lanes words) as one
@@ -298,11 +307,11 @@ func (w *Warp) StSysCoalesced(addr memspace.Addr, data []byte) {
 	w.g.ctr.SysmemWrites32B += sectors(len(data))
 	w.g.ctr.L2WriteRequests += sectors(len(data))
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
 	cp := append([]byte(nil), data...)
 	w.g.f.PostedWrite(w.g.ep, addr, cp)
-	release()
+	w.releasePCIe()
 }
 
 // ThreadfenceSystem orders this warp's prior stores against all observers
@@ -436,10 +445,10 @@ func (w *Warp) LdSysBytes(addr memspace.Addr, buf []byte) {
 	w.g.ctr.L2ReadRequests += n
 	w.g.ctr.L2ReadMisses += n
 	w.issue(1)
-	release := w.acquirePCIe()
+	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
 	w.g.f.Read(w.p, w.g.ep, addr, buf)
-	release()
+	w.releasePCIe()
 }
 
 // LdGlobalBytes reads n contiguous bytes from device memory as one
@@ -462,15 +471,8 @@ func (w *Warp) AtomicAddGlobalU64(addr memspace.Addr, delta uint64) uint64 {
 	w.g.ctr.L2WriteRequests++
 	w.g.l2.Access(uint64(addr), true)
 	w.issue(1)
-	var b [8]byte
-	if err := w.g.f.Space().Read(addr, b[:]); err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-	}
-	old := binary.LittleEndian.Uint64(b[:])
-	binary.LittleEndian.PutUint64(b[:], old+delta)
-	if err := w.g.f.Space().Write(addr, b[:]); err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-	}
+	old := w.ldWord(addr)
+	w.stWord(addr, old+delta)
 	// The L2 atomic unit serializes same-address atomics; approximate
 	// with the hit latency plus a fixed atomic-unit occupancy.
 	w.p.Sleep(w.g.cfg.L2HitLatency + 4*w.g.cfg.IssueCost)
@@ -486,18 +488,11 @@ func (w *Warp) CASGlobalU64(addr memspace.Addr, expect, desired uint64) uint64 {
 	w.g.ctr.L2ReadRequests++
 	w.g.l2.Access(uint64(addr), true)
 	w.issue(1)
-	var b [8]byte
-	if err := w.g.f.Space().Read(addr, b[:]); err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-	}
-	old := binary.LittleEndian.Uint64(b[:])
+	old := w.ldWord(addr)
 	if old == expect {
 		w.g.ctr.Globmem64Writes++
 		w.g.ctr.L2WriteRequests++
-		binary.LittleEndian.PutUint64(b[:], desired)
-		if err := w.g.f.Space().Write(addr, b[:]); err != nil {
-			panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
-		}
+		w.stWord(addr, desired)
 	}
 	w.p.Sleep(w.g.cfg.L2HitLatency + 4*w.g.cfg.IssueCost)
 	return old

@@ -9,7 +9,6 @@
 package hostsim
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"putget/internal/memspace"
@@ -83,15 +82,7 @@ func (c *CPU) ReadU64(p *sim.Proc, addr memspace.Addr) uint64 {
 		p.Sleep(c.cfg.MemLatency)
 		return c.peekU64(addr)
 	}
-	return c.readRemoteU64(p, addr)
-}
-
-// readRemoteU64 is ReadU64 across PCIe, kept out of ReadU64 so that the
-// buffer the fabric read escapes with is only allocated on this path.
-func (c *CPU) readRemoteU64(p *sim.Proc, addr memspace.Addr) uint64 {
-	var b [8]byte
-	c.f.Read(p, c.ep, addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	return c.f.ReadWord(p, c.ep, addr, 8)
 }
 
 // peekU64 is the functional (zero-time) load of a host-RAM word.
@@ -128,9 +119,7 @@ func (c *CPU) WriteU64(p *sim.Proc, addr memspace.Addr, v uint64) {
 		return
 	}
 	p.Sleep(c.cfg.MMIOWriteCost)
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	c.f.PostedWrite(c.ep, addr, b)
+	c.f.PostedWriteWord(c.ep, addr, v, 8)
 }
 
 // Write stores b at addr.

@@ -18,6 +18,7 @@
 package pcie
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"putget/internal/memspace"
@@ -38,7 +39,10 @@ const ChunkSize = 4096
 // Handlers run at TLP delivery time, in engine context: they must not
 // block, only mutate device state, signal, or schedule events.
 type Target interface {
-	// MMIOWrite handles a posted write of data at addr.
+	// MMIOWrite handles a posted write of data at addr. data is valid
+	// only until MMIOWrite returns: the fabric recycles it (a word write's
+	// bytes live in a pooled op), so a target decodes it and keeps none
+	// of it.
 	MMIOWrite(addr memspace.Addr, data []byte)
 	// MMIORead fills data from register state at addr.
 	MMIORead(addr memspace.Addr, data []byte)
@@ -132,7 +136,8 @@ type Fabric struct {
 	faults        Faults
 	replayPenalty sim.Duration
 
-	readFree []*readOp // idle read ops (see ReadFunc)
+	readFree  []*readOp  // idle read ops (see ReadFunc)
+	writeFree []*writeOp // idle write ops (see PostedWrite)
 }
 
 // SetFaults installs a fault injector on the bulk DMA path. Drop and
@@ -207,7 +212,7 @@ func (f *Fabric) claim(o ownerEntry) {
 
 // owner returns the claim covering a. Claims are never modified once
 // made, so the pointer stays valid (and its contents current) for as long
-// as a delivery closure holds it, even after later claims grow the table.
+// as an op in flight holds it, even after later claims grow the table.
 func (f *Fabric) owner(a memspace.Addr) *ownerEntry {
 	for i := range f.owners {
 		if f.owners[i].region.Contains(a) {
@@ -228,10 +233,27 @@ func flight(src, dst *Endpoint) sim.Duration {
 // returned delivery time. data is captured by reference: callers must
 // treat it as frozen.
 func (f *Fabric) PostedWrite(src *Endpoint, addr memspace.Addr, data []byte) sim.Time {
+	w := f.newWriteOp()
+	w.data = data
+	return f.post(src, addr, w)
+}
+
+// PostedWriteWord is PostedWrite of the n low-order bytes of v (n is 4
+// or 8), little-endian. The bytes travel in the pooled op, so the write
+// allocates nothing.
+func (f *Fabric) PostedWriteWord(src *Endpoint, addr memspace.Addr, v uint64, n int) sim.Time {
+	w := f.newWriteOp()
+	binary.LittleEndian.PutUint64(w.word[:], v)
+	w.data = w.word[:n]
+	return f.post(src, addr, w)
+}
+
+// post books w's single TLP on src's egress and schedules its delivery.
+func (f *Fabric) post(src *Endpoint, addr memspace.Addr, w *writeOp) sim.Time {
 	o := f.owner(addr)
 	src.stats.PostedWrites++
-	src.stats.BytesWritten += uint64(len(data))
-	sent := src.egress.Reserve(len(data) + TLPHeader)
+	src.stats.BytesWritten += uint64(len(w.data))
+	sent := src.egress.Reserve(len(w.data) + TLPHeader)
 	deliver := sent.Add(flight(src, o.ep))
 	if deliver < src.lastDeliver {
 		// Preserve same-source ordering even across destinations with
@@ -243,12 +265,49 @@ func (f *Fabric) PostedWrite(src *Endpoint, addr memspace.Addr, data []byte) sim
 		// The span covers issue through delivery: the MMIO/doorbell flight
 		// the paper's per-stage breakdown charges to PCIe.
 		id := f.e.SpanOpen("pcie", "write",
-			sim.Attr{Key: "bytes", Val: int64(len(data))})
+			sim.Attr{Key: "bytes", Val: int64(len(w.data))})
 		f.e.SpanCloseAt(id, deliver)
 	}
-	posted := f.e.Now()
-	f.e.At(deliver, func() { f.deliverWrite(o, addr, data, posted) })
+	w.o, w.addr, w.posted = o, addr, f.e.Now()
+	w.At(deliver, (*writeOp).deliver)
 	return deliver
+}
+
+// writeOp is one posted write (or write train) from its post to its
+// delivery. Ops are pooled per fabric, like readOp; a word write carries
+// its bytes in word. A Target's MMIOWrite must not retain data, which may
+// be that inline word.
+type writeOp struct {
+	sim.Step[*writeOp]
+	f      *Fabric
+	o      *ownerEntry
+	addr   memspace.Addr
+	data   []byte
+	pl     *sim.Payload // released right after delivery; nil for none
+	posted sim.Time
+	word   [8]byte
+}
+
+func (f *Fabric) newWriteOp() *writeOp {
+	if k := len(f.writeFree); k > 0 {
+		w := f.writeFree[k-1]
+		f.writeFree = f.writeFree[:k-1]
+		return w
+	}
+	w := &writeOp{f: f}
+	w.Init(f.e, w)
+	return w
+}
+
+// deliver lands the write, releases its payload and recycles the op.
+//
+//putget:hot
+func (w *writeOp) deliver() {
+	f := w.f
+	f.deliverWrite(w.o, w.addr, w.data, w.posted)
+	w.pl.Release()
+	*w = writeOp{Step: w.Step, f: f}
+	f.writeFree = append(f.writeFree, w)
 }
 
 func (f *Fabric) deliverWrite(o *ownerEntry, addr memspace.Addr, data []byte, posted sim.Time) {
@@ -288,14 +347,31 @@ func (f *Fabric) Read(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []byte
 // done from the event that completes the round trip, when buf holds the
 // data.
 func (f *Fabric) ReadFunc(src *Endpoint, addr memspace.Addr, buf []byte, done func()) {
+	r := f.newReadOp()
+	r.buf = buf
+	f.startRead(r, src, addr, done)
+}
+
+// ReadWord is Read of an n-byte little-endian word (n is 4 or 8). The
+// word is read into the pooled op, so the read allocates nothing.
+func (f *Fabric) ReadWord(p *sim.Proc, src *Endpoint, addr memspace.Addr, n int) uint64 {
+	r := f.newReadOp()
+	r.buf, r.owned = r.word[:n], true
+	f.startRead(r, src, addr, p.WakeFunc())
+	p.Await()
+	v := binary.LittleEndian.Uint64(r.word[:])
+	r.free()
+	return v
+}
+
+func (f *Fabric) startRead(r *readOp, src *Endpoint, addr memspace.Addr, done func()) {
 	o := f.owner(addr)
 	src.stats.Reads++
-	src.stats.BytesRead += uint64(len(buf))
+	src.stats.BytesRead += uint64(len(r.buf))
 	if f.e.Traced() {
-		f.e.Tracev("pcie", "read", "pcie: %s reads %dB from %s @%#x", src.name, len(buf), o.ep.name, uint64(addr))
+		f.e.Tracev("pcie", "read", "pcie: %s reads %dB from %s @%#x", src.name, len(r.buf), o.ep.name, uint64(addr))
 	}
-	r := f.newReadOp()
-	r.src, r.o, r.addr, r.buf, r.done = src, o, addr, buf, done
+	r.src, r.o, r.addr, r.done = src, o, addr, done
 	// Request TLP on our egress; reads do not pass earlier writes.
 	r.At(src.egress.Reserve(TLPHeader), (*readOp).flown)
 }
@@ -306,12 +382,14 @@ func (f *Fabric) ReadFunc(src *Endpoint, addr memspace.Addr, buf []byte, done fu
 // nothing.
 type readOp struct {
 	sim.Step[*readOp]
-	f    *Fabric
-	src  *Endpoint
-	o    *ownerEntry
-	addr memspace.Addr
-	buf  []byte
-	done func()
+	f     *Fabric
+	src   *Endpoint
+	o     *ownerEntry
+	addr  memspace.Addr
+	buf   []byte
+	done  func()
+	owned bool    // ReadWord frees the op once it has taken word
+	word  [8]byte // ReadWord's buffer
 }
 
 func (f *Fabric) newReadOp() *readOp {
@@ -323,6 +401,11 @@ func (f *Fabric) newReadOp() *readOp {
 	r := &readOp{f: f}
 	r.Init(f.e, r)
 	return r
+}
+
+func (r *readOp) free() {
+	*r = readOp{Step: r.Step, f: r.f}
+	r.f.readFree = append(r.f.readFree, r)
 }
 
 // flown: the request TLP has left src and crosses the fabric; the target
@@ -339,11 +422,13 @@ func (r *readOp) served() {
 
 func (r *readOp) responded() { r.After(flight(r.o.ep, r.src), (*readOp).finish) }
 
-// finish recycles the op, then hands the data to the initiator.
+// finish recycles the op, then hands the data to the initiator (a
+// ReadWord frees the op itself, after it has taken the word).
 func (r *readOp) finish() {
 	done := r.done
-	*r = readOp{Step: r.Step, f: r.f}
-	r.f.readFree = append(r.f.readFree, r)
+	if !r.owned {
+		r.free()
+	}
 	done()
 }
 
@@ -420,10 +505,8 @@ func (f *Fabric) WritePayloadReserve(src *Endpoint, addr memspace.Addr, data []b
 		deliver = src.lastDeliver
 	}
 	src.lastDeliver = deliver
-	posted := f.e.Now()
-	f.e.At(deliver, func() {
-		f.deliverWrite(o, addr, data, posted)
-		pl.Release()
-	})
+	w := f.newWriteOp()
+	w.o, w.addr, w.data, w.pl, w.posted = o, addr, data, pl, f.e.Now()
+	w.At(deliver, (*writeOp).deliver)
 	return sent, deliver
 }

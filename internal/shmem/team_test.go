@@ -290,7 +290,7 @@ func TestTeamConnectAllocs(t *testing.T) {
 		team.NewAllReduce(Ring, w.Malloc(8*16), 16)
 		w.Shutdown()
 	})
-	if limit := 1.15 * 53673; got > limit {
+	if limit := 1.15 * 4001; got > limit {
 		t.Errorf("16-of-64 team connect: %.0f allocs/op, ceiling %.0f", got, limit)
 	}
 }

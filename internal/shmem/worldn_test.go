@@ -245,6 +245,35 @@ func TestAllReduce64Ranks(t *testing.T) {
 	})
 }
 
+// TestAllReduceAllocs guards a verified 16-rank ring and rdouble
+// allreduce per fabric (EXTOLL fat-tree, IB torus), from an empty world
+// to its shutdown, on allocs/op. The ceilings are 1.15x the counts
+// measured with pooled hop and posted-write ops and the sparse L2; with a
+// closure per hop and per write and 16 ways per touched L2 set they were
+// 31,026, 12,095, 26,390 and 10,574.
+func TestAllReduceAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		k    transport.Kind
+		spec topo.Kind
+		alg  AllReduceAlg
+		base float64
+	}{
+		{transport.KindExtoll, topo.FatTree, Ring, 5637},
+		{transport.KindExtoll, topo.FatTree, RecursiveDoubling, 5255},
+		{transport.KindIB, topo.Torus3D, Ring, 10932},
+		{transport.KindIB, topo.Torus3D, RecursiveDoubling, 7692},
+	} {
+		got := testing.AllocsPerRun(1, func() {
+			w := newTestWorldN(tc.k, topo.Spec{Kind: tc.spec}, 16)
+			verifyAllReduce(t, w, tc.alg, 16)
+			w.Shutdown()
+		})
+		if limit := 1.15 * tc.base; got > limit {
+			t.Errorf("%v %v %v: %.0f allocs/op, ceiling %.0f", tc.k, tc.spec, tc.alg, got, limit)
+		}
+	}
+}
+
 func TestAllReduceRejectsBadShapes(t *testing.T) {
 	w := newTestWorldN(transport.KindExtoll, topo.Spec{Kind: topo.Torus3D}, 6)
 	defer w.Shutdown()

@@ -39,6 +39,9 @@ type Net[T any] struct {
 
 	flows       map[flowKey]*flow
 	unreachable uint64
+
+	hopFree []*hop[T]     // idle hop ops
+	arrive  func(*hop[T]) // (*hop[T]).arrived, built once
 }
 
 type flowKey struct{ src, dst int }
@@ -66,6 +69,9 @@ func NewNet[T any](e *sim.Engine, spec Spec, n int, cfg LinkConfig, name string,
 		name:  name,
 		key:   key,
 		flows: make(map[flowKey]*flow),
+		// A method expression of a generic type allocates where it is
+		// evaluated, so the stage is evaluated here, once per net.
+		arrive: (*hop[T]).arrived,
 	}
 	nt.ports = make([]*Port[T], n)
 	nt.inbox = make([]*sim.Chan[T], n)
@@ -203,42 +209,77 @@ func (nt *Net[T]) send(src int, pkt T, wireBytes int, ready sim.Time) (sim.Time,
 		return nt.e.Now(), false
 	}
 	fl.inFlight++
-	return nt.hop(fl, 0, pkt, wireBytes, ready)
+	h := nt.newHop()
+	h.fl, h.pkt, h.wireBytes = fl, pkt, wireBytes
+	return h.cross(ready)
 }
 
-// hop puts the packet on fl.path[i] and returns the time it leaves that
-// cable; ok=false means the cable dropped it (depth cap or fault
-// injector). Store-and-forward: each cable is reserved when the packet
-// reaches it, so cross-traffic contention accrues per hop.
-func (nt *Net[T]) hop(fl *flow, i int, pkt T, wireBytes int, ready sim.Time) (sim.Time, bool) {
-	at, ok, corrupt := fl.path[i].Transmit(wireBytes, ready)
+// hop is one packet crossing the fabric, pooled per net: the same op
+// carries the packet over every cable of its path, so a packet costs no
+// allocation however many hops it takes.
+type hop[T any] struct {
+	sim.Step[*hop[T]]
+	nt        *Net[T]
+	fl        *flow
+	i         int // the cable of fl.path being crossed
+	pkt       T
+	wireBytes int
+}
+
+func (nt *Net[T]) newHop() *hop[T] {
+	if k := len(nt.hopFree); k > 0 {
+		h := nt.hopFree[k-1]
+		nt.hopFree = nt.hopFree[:k-1]
+		return h
+	}
+	h := &hop[T]{nt: nt}
+	h.Init(nt.e, h)
+	return h
+}
+
+func (h *hop[T]) free() {
+	nt := h.nt
+	*h = hop[T]{Step: h.Step, nt: nt}
+	nt.hopFree = append(nt.hopFree, h)
+}
+
+// cross puts the packet on fl.path[h.i] and returns the time it leaves
+// that cable; ok=false means the cable dropped it (depth cap or fault
+// injector) and the op is recycled. Store-and-forward: each cable is
+// reserved when the packet reaches it, so cross-traffic contention
+// accrues per hop.
+func (h *hop[T]) cross(ready sim.Time) (sim.Time, bool) {
+	nt := h.nt
+	at, ok, corrupt := h.fl.path[h.i].Transmit(h.wireBytes, ready)
 	if !ok {
-		fl.inFlight--
+		h.fl.inFlight--
+		h.free()
 		return at, false
 	}
 	if corrupt && nt.corrupt != nil {
-		pkt = nt.corrupt(pkt)
+		h.pkt = nt.corrupt(h.pkt)
 	}
-	nt.arriveAt(fl, i, pkt, wireBytes, at)
+	h.At(at, nt.arrive)
 	return at, true
 }
 
-// arriveAt ends the packet's crossing of fl.path[i] at time `at`: the
-// last cable delivers into the destination inbox, any other forwards to
-// the next hop. The closure is the one allocation per packet and hop, so
-// it captures as little as it can: pkt is a parameter that is never
-// reassigned, so it is held by value instead of boxed, and the path and
-// destination are read from the flow.
-func (nt *Net[T]) arriveAt(fl *flow, i int, pkt T, wireBytes int, at sim.Time) {
-	nt.e.At(at, func() {
-		fl.path[i].Arrive(wireBytes)
-		if i+1 == len(fl.path) {
-			fl.inFlight--
-			nt.inbox[fl.dst].Send(pkt)
-			return
-		}
-		nt.hop(fl, i+1, pkt, wireBytes, nt.e.Now())
-	})
+// arrived ends the packet's crossing of fl.path[h.i]: the last cable
+// delivers into the destination inbox, any other forwards to the next
+// hop.
+//
+//putget:hot
+func (h *hop[T]) arrived() {
+	fl := h.fl
+	fl.path[h.i].Arrive(h.wireBytes)
+	if h.i+1 < len(fl.path) {
+		h.i++
+		h.cross(h.nt.e.Now())
+		return
+	}
+	fl.inFlight--
+	inbox, pkt := h.nt.inbox[fl.dst], h.pkt
+	h.free()
+	inbox.Send(pkt)
 }
 
 // Port is node's attachment to the fabric; it satisfies wire.Conduit[T]

@@ -435,3 +435,30 @@ func TestDirectNet(t *testing.T) {
 	}()
 	newTestNet(t, Spec{Kind: Direct}, 3)
 }
+
+// TestSendDoesNotAllocate pins a packet's crossing of a leaf-spine-leaf
+// fat-tree route (four cables) at zero allocations, once warm: one
+// pooled hop op carries it over every cable into the inbox.
+func TestSendDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Shutdown()
+	nt := NewNet[pkt](e, Spec{Kind: FatTree}, 16, cfg, "net", keyOf)
+	nt.Bind(0, 0, 15)
+	if hops := len(nt.PathNames(0, 15)); hops != 4 {
+		t.Fatalf("route 0->15 crosses %d cables, want 4", hops)
+	}
+	src, dst := nt.Port(0), nt.Port(15)
+	n := 0
+	step := func() {
+		n++
+		src.Send(pkt{key: 0, val: n}, 64)
+		e.Run()
+		if p, ok := dst.TryRecv(); !ok || p.val != n {
+			t.Fatalf("packet %d not delivered (got %+v, %v)", n, p, ok)
+		}
+	}
+	step()
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Errorf("%v allocs/op, want 0", got)
+	}
+}

@@ -230,6 +230,19 @@ type Link[T any] struct {
 	Cable
 	inbox     *sim.Chan[T]
 	corrupter func(T) T
+
+	free   []*delivery[T]     // idle delivery ops
+	arrive func(*delivery[T]) // (*delivery[T]).arrive, built once
+}
+
+// delivery is one packet in flight on a Link, from SendAfter to its
+// arrival in the inbox. Ops are pooled per link, so a send allocates
+// nothing.
+type delivery[T any] struct {
+	sim.Step[*delivery[T]]
+	l         *Link[T]
+	pkt       T
+	wireBytes int
 }
 
 // NewLink creates one direction with the given bandwidth (bytes/second)
@@ -238,6 +251,9 @@ func NewLink[T any](e *sim.Engine, bytesPerSecond float64, latency sim.Duration)
 	return &Link[T]{
 		Cable: NewCable(e, "", bytesPerSecond, latency),
 		inbox: sim.NewChan[T](e),
+		// A method expression of a generic type allocates where it is
+		// evaluated, so the stage is evaluated here, once per link.
+		arrive: (*delivery[T]).arrive,
 	}
 }
 
@@ -275,11 +291,34 @@ func (l *Link[T]) SendAfter(pkt T, wireBytes int, ready sim.Time) (deliver sim.T
 	if corrupt && l.corrupter != nil {
 		pkt = l.corrupter(pkt)
 	}
-	l.e.At(deliver, func() {
-		l.Arrive(wireBytes)
-		l.inbox.Send(pkt)
-	})
+	d := l.newDelivery()
+	d.pkt, d.wireBytes = pkt, wireBytes
+	d.At(deliver, l.arrive)
 	return deliver, true
+}
+
+func (l *Link[T]) newDelivery() *delivery[T] {
+	if k := len(l.free); k > 0 {
+		d := l.free[k-1]
+		l.free = l.free[:k-1]
+		return d
+	}
+	d := &delivery[T]{l: l}
+	d.Init(l.e, d)
+	return d
+}
+
+// arrive ends the packet's flight: it leaves the egress queue, the op is
+// recycled and the packet enters the inbox.
+//
+//putget:hot
+func (d *delivery[T]) arrive() {
+	l, pkt := d.l, d.pkt
+	l.Arrive(d.wireBytes)
+	var zero T
+	d.pkt = zero
+	l.free = append(l.free, d)
+	l.inbox.Send(pkt)
 }
 
 // Recv blocks p until a packet arrives, FIFO.

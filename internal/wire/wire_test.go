@@ -402,3 +402,24 @@ func TestFaultDepthCapTailDrop(t *testing.T) {
 		t.Fatalf("MaxDepth() = %d, want 2", l.MaxDepth())
 	}
 }
+
+// TestLinkSendDoesNotAllocate pins a Link send through to its delivery
+// at zero allocations, once warm: the packet travels in a pooled op.
+func TestLinkSendDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Shutdown()
+	l := NewLink[int](e, 10e9, 100*sim.Nanosecond)
+	n := 0
+	step := func() {
+		n++
+		l.Send(n, 64)
+		e.Run()
+		if v, ok := l.TryRecv(); !ok || v != n {
+			t.Fatalf("packet %d not delivered (got %d, %v)", n, v, ok)
+		}
+	}
+	step()
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Errorf("%v allocs/op, want 0", got)
+	}
+}
