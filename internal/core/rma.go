@@ -11,6 +11,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"putget/internal/cluster"
@@ -127,15 +128,9 @@ func (r *RMA) DevPutCollective(w *gpusim.Warp, port int, src, dst extoll.NLA, si
 	id := r.span(w.GPU().Name(), "wr.create", size)
 	page := r.NIC.PortPage(port)
 	w.Exec(4) // each lane computes its word in parallel
-	buf := make([]byte, extoll.WRBytes)
-	words := extoll.EncodeWR(extoll.WR{Cmd: extoll.CmdPut, Flags: flags, Size: size,
+	buf := wrBytes(extoll.WR{Cmd: extoll.CmdPut, Flags: flags, Size: size,
 		SrcNLA: uint64(src), DstNLA: uint64(dst)})
-	for i, v := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * uint(b)))
-		}
-	}
-	w.StSysCoalesced(page, buf)
+	w.StSysCoalesced(page, buf[:])
 	r.Node.E.SpanClose(id)
 }
 
@@ -273,69 +268,53 @@ func (r *RMA) DevPollU64(w *gpusim.Warp, addr memspace.Addr, want uint64) {
 // HostPut creates and posts a put WR from the CPU: descriptor assembly at
 // host speed and one write-combined 24-byte MMIO burst.
 func (r *RMA) HostPut(p *sim.Proc, port int, src, dst extoll.NLA, size, flags int) {
-	cpu := r.Node.CPU
-	id := r.span(cpu.Name(), "wr.create", size)
+	id := r.span(r.Node.CPU.Name(), "wr.create", size)
 	defer r.Node.E.SpanClose(id)
-	cpu.GenWR(p)
-	words := extoll.EncodeWR(extoll.WR{Cmd: extoll.CmdPut, Flags: flags, Size: size,
+	r.hostPost(p, port, extoll.WR{Cmd: extoll.CmdPut, Flags: flags, Size: size,
 		SrcNLA: uint64(src), DstNLA: uint64(dst)})
-	buf := make([]byte, extoll.WRBytes)
-	for i, v := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * uint(b)))
-		}
-	}
-	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf)
 }
 
 // HostPutImm posts an immediate put from the CPU.
 func (r *RMA) HostPutImm(p *sim.Proc, port int, value uint64, dst extoll.NLA, size, flags int) {
-	cpu := r.Node.CPU
-	cpu.GenWR(p)
-	words := extoll.EncodeWR(extoll.WR{Cmd: extoll.CmdImmPut, Flags: flags, Size: size,
+	r.hostPost(p, port, extoll.WR{Cmd: extoll.CmdImmPut, Flags: flags, Size: size,
 		SrcNLA: value, DstNLA: uint64(dst)})
-	buf := make([]byte, extoll.WRBytes)
-	for i, v := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * uint(b)))
-		}
-	}
-	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf)
 }
 
 // HostFetchAdd posts a remote fetch-and-add from the CPU and returns the
 // previous value via the completer notification.
 func (r *RMA) HostFetchAdd(p *sim.Proc, port int, addend uint64, dst extoll.NLA) uint64 {
-	cpu := r.Node.CPU
-	cpu.GenWR(p)
-	words := extoll.EncodeWR(extoll.WR{Cmd: extoll.CmdFetchAdd, Flags: extoll.FlagCompNotif,
+	r.hostPost(p, port, extoll.WR{Cmd: extoll.CmdFetchAdd, Flags: extoll.FlagCompNotif,
 		Size: 8, SrcNLA: addend, DstNLA: uint64(dst)})
-	buf := make([]byte, extoll.WRBytes)
-	for i, v := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * uint(b)))
-		}
-	}
-	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf)
-	cpu.SpinU64(p, r.hostNotifSlot(port, extoll.ClassCompleter), extoll.NotifValid)
+	r.Node.CPU.SpinU64(p, r.hostNotifSlot(port, extoll.ClassCompleter), extoll.NotifValid)
 	return r.hostConsume(p, port, extoll.ClassCompleter)
 }
 
 // HostGet creates and posts a get WR from the CPU.
 func (r *RMA) HostGet(p *sim.Proc, port int, src, dst extoll.NLA, size, flags int) {
-	cpu := r.Node.CPU
-	id := r.span(cpu.Name(), "wr.create", size)
+	id := r.span(r.Node.CPU.Name(), "wr.create", size)
 	defer r.Node.E.SpanClose(id)
-	cpu.GenWR(p)
-	words := extoll.EncodeWR(extoll.WR{Cmd: extoll.CmdGet, Flags: flags, Size: size,
+	r.hostPost(p, port, extoll.WR{Cmd: extoll.CmdGet, Flags: flags, Size: size,
 		SrcNLA: uint64(src), DstNLA: uint64(dst)})
-	buf := make([]byte, extoll.WRBytes)
-	for i, v := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(v >> (8 * uint(b)))
-		}
+}
+
+// hostPost builds wr at host speed and posts it to port's requester page
+// as one write-combined MMIO burst.
+//
+//putget:hot
+func (r *RMA) hostPost(p *sim.Proc, port int, wr extoll.WR) {
+	cpu := r.Node.CPU
+	cpu.GenWR(p)
+	buf := wrBytes(wr)
+	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf[:])
+}
+
+// wrBytes is wr as the little-endian bytes of its words, in BAR order.
+func wrBytes(wr extoll.WR) [extoll.WRBytes]byte {
+	var buf [extoll.WRBytes]byte
+	for i, v := range extoll.EncodeWR(wr) {
+		binary.LittleEndian.PutUint64(buf[i*8:], v)
 	}
-	cpu.MMIOWriteBurst(p, r.NIC.PortPage(port), buf)
+	return buf
 }
 
 // HostTryConsumeNotif polls the ring once from the CPU (cache-speed host

@@ -150,8 +150,8 @@ func (v *Verbs) DevPostSend(w *gpusim.Warp, qp *VQP, wqe ibsim.WQE) {
 	}
 
 	// Write the WQE as eight 64-bit stores.
-	buf := make([]byte, ibsim.WQEBytes)
-	ibsim.EncodeWQE(wqe, buf)
+	var buf [ibsim.WQEBytes]byte
+	ibsim.EncodeWQE(wqe, buf[:])
 	for i := 0; i < ibsim.WQEBytes/8; i++ {
 		devSt64(w, slot+memspace.Addr(i*8), binary.LittleEndian.Uint64(buf[i*8:]))
 	}
@@ -177,18 +177,18 @@ func (v *Verbs) DevPostSendCollective(w *gpusim.Warp, qp *VQP, wqe ibsim.WQE) {
 	slot := qp.QP.SQSlotAddr(qp.sqTail)
 	w.Exec(postProlog / 4) // cooperative ring management
 	w.Exec(postDynField)   // all lanes convert their field concurrently
-	buf := make([]byte, ibsim.WQEBytes)
-	ibsim.EncodeWQE(wqe, buf)
+	var buf [ibsim.WQEBytes]byte
+	ibsim.EncodeWQE(wqe, buf[:])
 	prev := qp.QP.SQSlotAddr(qp.sqTail + qp.QP.SQEntries - 1)
 	devSt64(w, prev+56, 0xdead)
 	if w.GPU().DevMem().Contains(slot) {
-		vals := make([]uint64, 8)
+		var vals [ibsim.WQEBytes / 8]uint64
 		for i := range vals {
 			vals[i] = binary.LittleEndian.Uint64(buf[i*8:])
 		}
-		w.StGlobalU64Coalesced(slot, vals)
+		w.StGlobalU64Coalesced(slot, vals[:])
 	} else {
-		w.StSysCoalesced(slot, buf)
+		w.StSysCoalesced(slot, buf[:])
 	}
 	w.Exec(postDoorbellCalc / 4)
 	w.ThreadfenceSystem()
@@ -208,19 +208,19 @@ func (v *Verbs) DevTryPollCQ(w *gpusim.Warp, cq *VCQ) (ibsim.CQE, bool) {
 	}
 	// Read the remaining 24 bytes of the CQE — independent loads that
 	// pipeline into one round trip.
-	rest := make([]byte, ibsim.CQEBytes-8)
+	var rest [ibsim.CQEBytes - 8]byte
 	if w.GPU().DevMem().Contains(slot) {
-		w.LdGlobalBytes(slot+8, rest)
+		w.LdGlobalBytes(slot+8, rest[:])
 	} else {
-		w.LdSysBytes(slot+8, rest)
+		w.LdSysBytes(slot+8, rest[:])
 	}
 	w.Exec(pollConvert + pollQPLookup + pollHandle)
 	// Functional decode from queue memory.
-	buf := make([]byte, ibsim.CQEBytes)
-	if err := v.Node.Space.Read(slot, buf); err != nil {
+	var buf [ibsim.CQEBytes]byte
+	if err := v.Node.Space.Read(slot, buf[:]); err != nil {
 		panic(fmt.Sprintf("core: poll cq: %v", err))
 	}
-	cqe := ibsim.DecodeCQE(buf)
+	cqe := ibsim.DecodeCQE(buf[:])
 	// Free the CQE (zero all four words) and update the consumer index.
 	for i := 0; i < ibsim.CQEBytes/8; i++ {
 		devSt64(w, slot+memspace.Addr(i*8), 0)
@@ -267,8 +267,8 @@ func (v *Verbs) DevPollCQTimeout(w *gpusim.Warp, cq *VCQ, timeout sim.Duration) 
 func (v *Verbs) DevPostRecv(w *gpusim.Warp, qp *VQP, rwqe ibsim.RecvWQE) {
 	slot := qp.QP.RQSlotAddr(qp.rqTail)
 	w.Exec(40)
-	buf := make([]byte, ibsim.RecvWQEBytes)
-	ibsim.EncodeRecvWQE(rwqe, buf)
+	var buf [ibsim.RecvWQEBytes]byte
+	ibsim.EncodeRecvWQE(rwqe, buf[:])
 	for i := 0; i < ibsim.RecvWQEBytes/8; i++ {
 		devSt64(w, slot+memspace.Addr(i*8), binary.LittleEndian.Uint64(buf[i*8:]))
 	}
@@ -281,15 +281,17 @@ func (v *Verbs) DevPostRecv(w *gpusim.Warp, qp *VQP, rwqe ibsim.RecvWQE) {
 // HostPostSend is the CPU fast path: descriptor generation is cheap and
 // the WQE reaches queue memory at cache speed (host rings) or as one
 // posted burst (GPU rings).
+//
+//putget:hot
 func (v *Verbs) HostPostSend(p *sim.Proc, qp *VQP, wqe ibsim.WQE) {
 	cpu := v.Node.CPU
 	id := v.vspan(cpu.Name(), "wqe.post", wqe.Length)
 	defer v.Node.E.SpanClose(id)
 	cpu.GenWR(p)
 	slot := qp.QP.SQSlotAddr(qp.sqTail)
-	buf := make([]byte, ibsim.WQEBytes)
-	ibsim.EncodeWQE(wqe, buf)
-	cpu.Write(p, slot, buf)
+	var buf [ibsim.WQEBytes]byte
+	ibsim.EncodeWQE(wqe, buf[:])
+	cpu.Write(p, slot, buf[:])
 	qp.sqTail++
 	cpu.WriteU64(p, v.HCA.DoorbellSQAddr(), uint64(qp.QP.QPN)<<32|uint64(qp.sqTail))
 }
@@ -299,9 +301,9 @@ func (v *Verbs) HostPostRecv(p *sim.Proc, qp *VQP, rwqe ibsim.RecvWQE) {
 	cpu := v.Node.CPU
 	cpu.GenWR(p)
 	slot := qp.QP.RQSlotAddr(qp.rqTail)
-	buf := make([]byte, ibsim.RecvWQEBytes)
-	ibsim.EncodeRecvWQE(rwqe, buf)
-	cpu.Write(p, slot, buf)
+	var buf [ibsim.RecvWQEBytes]byte
+	ibsim.EncodeRecvWQE(rwqe, buf[:])
+	cpu.Write(p, slot, buf[:])
 	qp.rqTail++
 	cpu.WriteU64(p, v.HCA.DoorbellRQAddr(), uint64(qp.QP.QPN)<<32|uint64(qp.rqTail))
 }
@@ -317,14 +319,16 @@ func (v *Verbs) HostTryPollCQ(p *sim.Proc, cq *VCQ) (ibsim.CQE, bool) {
 // hostConsumeCQE is the consume step after a host probe found the CQE at
 // the head of cq valid: it reads the entry, frees it and advances the
 // consumer index.
+//
+//putget:hot
 func (v *Verbs) hostConsumeCQE(p *sim.Proc, cq *VCQ) ibsim.CQE {
 	cpu := v.Node.CPU
 	slot := cq.CQ.EntryAddr(cq.head)
-	buf := make([]byte, ibsim.CQEBytes)
-	cpu.Read(p, slot, buf)
-	cqe := ibsim.DecodeCQE(buf)
-	clear(buf)
-	cpu.Write(p, slot, buf)
+	var buf [ibsim.CQEBytes]byte
+	cpu.Read(p, slot, buf[:])
+	cqe := ibsim.DecodeCQE(buf[:])
+	clear(buf[:])
+	cpu.Write(p, slot, buf[:])
 	cpu.WriteU64(p, cq.CIDoc, uint64(cq.head+1))
 	cq.head++
 	return cqe

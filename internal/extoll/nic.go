@@ -293,9 +293,9 @@ func (n *NIC) writeErrNotif(port, size int) {
 		n.stats.NotificationOverflows++
 		return
 	}
-	buf := make([]byte, NotifBytes)
+	var buf [NotifBytes]byte
 	binary.LittleEndian.PutUint64(buf[0:], EncodeErrNotif(ClassRequester, size))
-	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf), size)
+	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf[:]), size)
 	n.notifWP[port][ClassRequester] = wp + 1
 	n.stats.NotificationsWritten++
 }
@@ -314,10 +314,10 @@ func (n *NIC) writeTimeoutNotif(port, size int, cookie uint64) {
 	if n.e.Traced() {
 		n.e.Tracev(n.cfg.Name, "fault", "fault: %s response timeout notification port %d (size %d)", n.cfg.Name, port, size)
 	}
-	buf := make([]byte, NotifBytes)
+	var buf [NotifBytes]byte
 	binary.LittleEndian.PutUint64(buf[0:], EncodeTimeoutNotif(ClassCompleter, size))
 	binary.LittleEndian.PutUint64(buf[8:], cookie)
-	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf), size)
+	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf[:]), size)
 	n.notifWP[port][ClassCompleter] = wp + 1
 	n.stats.NotificationsWritten++
 }
@@ -339,10 +339,10 @@ func (n *NIC) writeNotif(port, class, size int, cookie uint64) {
 	if n.e.Traced() {
 		n.e.Tracev(n.cfg.Name, "", "%s: notification class %d port %d (size %d)", n.cfg.Name, class, port, size)
 	}
-	buf := make([]byte, NotifBytes)
+	var buf [NotifBytes]byte
 	binary.LittleEndian.PutUint64(buf[0:], EncodeNotif(class, size))
 	binary.LittleEndian.PutUint64(buf[8:], cookie)
-	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf), size)
+	n.notifSpan(n.f.PostedWrite(n.ep, addr, buf[:]), size)
 	n.notifWP[port][class] = wp + 1
 	n.stats.NotificationsWritten++
 }

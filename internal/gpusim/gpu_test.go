@@ -89,8 +89,9 @@ func TestGlobalMemoryRoundTrip(t *testing.T) {
 // TestGlobalU64DoesNotAllocate pins a warp's word accesses at zero
 // allocations per op, once warm: device-memory loads, stores and atomics
 // go through the space's in-place word access, system-memory loads read
-// into the fabric's pooled read op, and system-memory stores carry their
-// word in a pooled posted-write op. HostWriteU64 rides along.
+// into the fabric's pooled read op, and system-memory stores copy their
+// bytes into a pooled posted-write op, so a stack array stays on the
+// stack. HostWriteU64 rides along.
 func TestGlobalU64DoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -104,6 +105,15 @@ func TestGlobalU64DoesNotAllocate(t *testing.T) {
 		{"StSysU32", func(w *Warp, _, host memspace.Addr, v uint64) { w.StSysU32(host, uint32(v)) }},
 		{"LdSysU64", func(w *Warp, _, host memspace.Addr, _ uint64) { w.LdSysU64(host) }},
 		{"LdSysU32", func(w *Warp, _, host memspace.Addr, _ uint64) { w.LdSysU32(host) }},
+		{"StSysCoalesced", func(w *Warp, _, host memspace.Addr, v uint64) {
+			var b [8]byte
+			b[0] = byte(v)
+			w.StSysCoalesced(host, b[:])
+		}},
+		{"LdSysBytes", func(w *Warp, _, host memspace.Addr, _ uint64) {
+			var b [24]byte
+			w.LdSysBytes(host, b[:])
+		}},
 		{"HostWriteU64", func(w *Warp, dev, _ memspace.Addr, v uint64) {
 			w.GPU().HostWriteU64(dev, v)
 			w.Exec(1)

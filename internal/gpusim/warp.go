@@ -239,59 +239,57 @@ func (w *Warp) FillGlobal(addr memspace.Addr, data []byte) {
 // the GPU's egress link, which is how notification polling pressures the
 // fabric in the paper's analysis.
 func (w *Warp) LdSysU64(addr memspace.Addr) uint64 {
-	w.mustNotDevice(addr, "LdSysU64")
-	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemReads32B++
-	w.g.ctr.L2ReadRequests++ // traverses L2, never hits (uncached)
-	w.g.ctr.L2ReadMisses++
-	w.issue(1)
-	w.acquirePCIe()
-	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	v := w.g.f.ReadWord(w.p, w.g.ep, addr, 8)
-	w.releasePCIe()
-	return v
+	var b [8]byte
+	w.ldSys(addr, b[:], "LdSysU64")
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // LdSysU32 loads a 32-bit word from system memory.
 func (w *Warp) LdSysU32(addr memspace.Addr) uint32 {
-	w.mustNotDevice(addr, "LdSysU32")
+	var b [4]byte
+	w.ldSys(addr, b[:], "LdSysU32")
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+// LdSysBytes reads n contiguous bytes from system memory as independent
+// loads issued back-to-back: one instruction and one 32-byte transaction
+// per sector, but a single PCIe round trip (memory-level parallelism).
+func (w *Warp) LdSysBytes(addr memspace.Addr, buf []byte) {
+	w.ldSys(addr, buf, "LdSysBytes")
+}
+
+// ldSys is the system-memory load every LdSys* op is: one instruction,
+// one 32-byte transaction per sector (traversing L2, never hitting:
+// system memory is uncached) and one PCIe round trip.
+//
+//putget:hot
+func (w *Warp) ldSys(addr memspace.Addr, buf []byte, op string) {
+	w.mustNotDevice(addr, op)
+	n := sectors(len(buf))
 	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemReads32B++
-	w.g.ctr.L2ReadRequests++
-	w.g.ctr.L2ReadMisses++
+	w.g.ctr.SysmemReads32B += n
+	w.g.ctr.L2ReadRequests += n
+	w.g.ctr.L2ReadMisses += n
 	w.issue(1)
 	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	v := w.g.f.ReadWord(w.p, w.g.ep, addr, 4)
+	w.g.f.Read(w.p, w.g.ep, addr, buf)
 	w.releasePCIe()
-	return uint32(v)
 }
 
 // StSysU64 posts a 64-bit store to system memory or MMIO. The warp pays
 // issue plus LSU overhead; delivery is asynchronous (posted write).
 func (w *Warp) StSysU64(addr memspace.Addr, v uint64) {
-	w.mustNotDevice(addr, "StSysU64")
-	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemWrites32B++
-	w.g.ctr.L2WriteRequests++
-	w.issue(1)
-	w.acquirePCIe()
-	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	w.g.f.PostedWriteWord(w.g.ep, addr, v, 8)
-	w.releasePCIe()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	w.stSys(addr, b[:], "StSysU64")
 }
 
 // StSysU32 posts a 32-bit store to system memory or MMIO.
 func (w *Warp) StSysU32(addr memspace.Addr, v uint32) {
-	w.mustNotDevice(addr, "StSysU32")
-	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemWrites32B++
-	w.g.ctr.L2WriteRequests++
-	w.issue(1)
-	w.acquirePCIe()
-	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	w.g.f.PostedWriteWord(w.g.ep, addr, uint64(v), 4)
-	w.releasePCIe()
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	w.stSys(addr, b[:], "StSysU32")
 }
 
 // StSysCoalesced posts data (multiple of 8 bytes, ≤ Lanes words) as one
@@ -299,18 +297,28 @@ func (w *Warp) StSysU32(addr memspace.Addr, v uint32) {
 // optimization the paper's claims call for. Transactions are counted per
 // 32-byte sector instead of per word.
 func (w *Warp) StSysCoalesced(addr memspace.Addr, data []byte) {
-	w.mustNotDevice(addr, "StSysCoalesced")
+	w.stSys(addr, data, "StSysCoalesced")
+}
+
+// stSys is the posted system-memory store every StSys* op is: one
+// instruction and one 32-byte transaction per sector, then the LSU
+// overhead before the write leaves. A word store is one sector, and no
+// wider than a warp of at least one lane.
+//
+//putget:hot
+func (w *Warp) stSys(addr memspace.Addr, data []byte, op string) {
+	w.mustNotDevice(addr, op)
 	if len(data) > 8*w.Lanes {
-		panic("gpusim: StSysCoalesced wider than warp")
+		panic("gpusim: " + op + " wider than warp")
 	}
+	n := sectors(len(data))
 	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemWrites32B += sectors(len(data))
-	w.g.ctr.L2WriteRequests += sectors(len(data))
+	w.g.ctr.SysmemWrites32B += n
+	w.g.ctr.L2WriteRequests += n
 	w.issue(1)
 	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	cp := append([]byte(nil), data...)
-	w.g.f.PostedWrite(w.g.ep, addr, cp)
+	w.g.f.PostedWrite(w.g.ep, addr, data)
 	w.releasePCIe()
 }
 
@@ -349,34 +357,8 @@ func (w *Warp) mustNotDevice(addr memspace.Addr, op string) {
 // construction; only the probes after an invalidation miss.)
 func (w *Warp) PollGlobalU64Masked(addr memspace.Addr, want, mask uint64) uint64 {
 	w.mustDevice(addr, "PollGlobalU64Masked")
-	var span sim.SpanID
-	if w.g.e.Observing() {
-		span = w.g.e.SpanOpen(w.g.cfg.Name, "poll.mem")
-	}
-	probe := 5*w.g.cfg.IssueCost + w.g.cfg.L2HitLatency + w.g.cfg.PollLoopStall
-	for {
-		epoch := w.g.inboundEpoch
-		v := w.LdGlobalU64(addr)
-		w.Exec(4)
-		if v&mask == want {
-			w.g.e.SpanClose(span)
-			return v
-		}
-		w.p.Sleep(w.g.cfg.PollLoopStall)
-		if w.g.inboundEpoch != epoch {
-			// A write landed while we were probing; re-probe immediately.
-			continue
-		}
-		start := w.p.Now()
-		w.g.inboundSig.Wait(w.p)
-		// Account the probes that would have run during the wait.
-		skipped := uint64(w.p.Now().Sub(start) / probe)
-		w.g.ctr.InstrExecuted += 5 * skipped
-		w.g.ctr.MemAccesses += skipped
-		w.g.ctr.Globmem64Reads += skipped
-		w.g.ctr.L2ReadRequests += skipped
-		w.g.ctr.L2ReadHits += skipped
-	}
+	v, _ := w.poll(addr, want, mask, false, 0)
+	return v
 }
 
 // PollGlobalU64 spins until the device-memory word equals want.
@@ -391,40 +373,50 @@ func (w *Warp) PollGlobalU64(addr memspace.Addr, want uint64) uint64 {
 // is what a kernel that must not spin forever actually compiles to.
 func (w *Warp) PollGlobalU64MaskedTimeout(addr memspace.Addr, want, mask uint64, timeout sim.Duration) (uint64, bool) {
 	w.mustDevice(addr, "PollGlobalU64MaskedTimeout")
+	return w.poll(addr, want, mask, true, w.p.Now().Add(timeout))
+}
+
+// poll is PollGlobalU64Masked and, when bounded, its deadline form. A
+// bounded poll returns false from the first failed probe at or past
+// deadline, or when the deadline falls within one probe of a park.
+func (w *Warp) poll(addr memspace.Addr, want, mask uint64, bounded bool, deadline sim.Time) (uint64, bool) {
 	var span sim.SpanID
 	if w.g.e.Observing() {
 		span = w.g.e.SpanOpen(w.g.cfg.Name, "poll.mem")
 	}
 	probe := 5*w.g.cfg.IssueCost + w.g.cfg.L2HitLatency + w.g.cfg.PollLoopStall
-	deadline := w.p.Now().Add(timeout)
-	var v uint64
 	for {
 		epoch := w.g.inboundEpoch
-		v = w.LdGlobalU64(addr)
+		v := w.LdGlobalU64(addr)
 		w.Exec(4)
 		if v&mask == want {
 			w.g.e.SpanClose(span)
 			return v, true
 		}
-		if w.p.Now() >= deadline {
+		if bounded && w.p.Now() >= deadline {
 			w.g.e.SpanClose(span)
 			return v, false
 		}
 		w.p.Sleep(w.g.cfg.PollLoopStall)
 		if w.g.inboundEpoch != epoch {
+			// A write landed while we were probing; re-probe immediately.
 			continue
 		}
-		// Park until the next inbound write or the deadline, whichever is
-		// first, then bulk-account the probes that would have run.
+		// Park until the next inbound write (or the deadline), then
+		// bulk-account the probes that would have run during the wait.
 		start := w.p.Now()
-		if deadline.Sub(start) <= probe {
-			if deadline > start {
-				w.p.SleepUntil(deadline)
+		if !bounded {
+			w.g.inboundSig.Wait(w.p)
+		} else {
+			if deadline.Sub(start) <= probe {
+				if deadline > start {
+					w.p.SleepUntil(deadline)
+				}
+				w.g.e.SpanClose(span)
+				return v, false
 			}
-			w.g.e.SpanClose(span)
-			return v, false
+			w.g.inboundSig.WaitUntil(w.p, deadline)
 		}
-		w.g.inboundSig.WaitUntil(w.p, deadline)
 		skipped := uint64(w.p.Now().Sub(start) / probe)
 		w.g.ctr.InstrExecuted += 5 * skipped
 		w.g.ctr.MemAccesses += skipped
@@ -432,23 +424,6 @@ func (w *Warp) PollGlobalU64MaskedTimeout(addr memspace.Addr, want, mask uint64,
 		w.g.ctr.L2ReadRequests += skipped
 		w.g.ctr.L2ReadHits += skipped
 	}
-}
-
-// LdSysBytes reads n contiguous bytes from system memory as independent
-// loads issued back-to-back: one instruction and one 32-byte transaction
-// per sector, but a single PCIe round trip (memory-level parallelism).
-func (w *Warp) LdSysBytes(addr memspace.Addr, buf []byte) {
-	w.mustNotDevice(addr, "LdSysBytes")
-	n := sectors(len(buf))
-	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemReads32B += n
-	w.g.ctr.L2ReadRequests += n
-	w.g.ctr.L2ReadMisses += n
-	w.issue(1)
-	w.acquirePCIe()
-	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
-	w.g.f.Read(w.p, w.g.ep, addr, buf)
-	w.releasePCIe()
 }
 
 // LdGlobalBytes reads n contiguous bytes from device memory as one

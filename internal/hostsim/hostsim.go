@@ -9,6 +9,7 @@
 package hostsim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"putget/internal/memspace"
@@ -82,7 +83,9 @@ func (c *CPU) ReadU64(p *sim.Proc, addr memspace.Addr) uint64 {
 		p.Sleep(c.cfg.MemLatency)
 		return c.peekU64(addr)
 	}
-	return c.f.ReadWord(p, c.ep, addr, 8)
+	var b [8]byte
+	c.f.Read(p, c.ep, addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // peekU64 is the functional (zero-time) load of a host-RAM word.
@@ -119,7 +122,9 @@ func (c *CPU) WriteU64(p *sim.Proc, addr memspace.Addr, v uint64) {
 		return
 	}
 	p.Sleep(c.cfg.MMIOWriteCost)
-	c.f.PostedWriteWord(c.ep, addr, v, 8)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	c.f.PostedWrite(c.ep, addr, b[:])
 }
 
 // Write stores b at addr.
@@ -131,17 +136,14 @@ func (c *CPU) Write(p *sim.Proc, addr memspace.Addr, b []byte) {
 		}
 		return
 	}
-	p.Sleep(c.cfg.MMIOWriteCost)
-	cp := append([]byte(nil), b...)
-	c.f.PostedWrite(c.ep, addr, cp)
+	c.MMIOWriteBurst(p, addr, b)
 }
 
 // MMIOWriteBurst posts data as one write-combined MMIO store burst (the
 // x86 WC path hosts use to hand descriptors to a BAR in few TLPs).
 func (c *CPU) MMIOWriteBurst(p *sim.Proc, addr memspace.Addr, data []byte) {
 	p.Sleep(c.cfg.MMIOWriteCost)
-	cp := append([]byte(nil), data...)
-	c.f.PostedWrite(c.ep, addr, cp)
+	c.f.PostedWrite(c.ep, addr, data)
 }
 
 // NotifyInboundWrite is the host-memory endpoint's inbound-write hook

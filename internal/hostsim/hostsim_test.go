@@ -206,3 +206,28 @@ func TestMMIOBurstKeepsOrderWithFlagWrite(t *testing.T) {
 	r.e.Run()
 	_ = burstAt
 }
+
+// TestWriteAcrossPCIeCopiesAtPost overwrites the caller's buffer right
+// after a Write to device memory and an MMIOWriteBurst to a BAR: both
+// still deliver the bytes as they were when the store was posted.
+func TestWriteAcrossPCIeCopiesAtPost(t *testing.T) {
+	r := newRig(t)
+	r.e.Spawn("t", func(p *sim.Proc) {
+		buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		r.cpu.Write(p, r.dev.Base, buf)
+		copy(buf, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+		r.cpu.MMIOWriteBurst(p, r.bar.Base, buf)
+		clear(buf)
+	})
+	r.e.Run()
+	got := make([]byte, 8)
+	if err := r.f.Space().Read(r.dev.Base, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{1, 2, 3, 4, 5, 6, 7, 8}; string(got) != string(want) {
+		t.Fatalf("Write delivered % x, want % x", got, want)
+	}
+	if len(r.nic.writes) != 1 || string(r.nic.writes[0]) != string([]byte{9, 9, 9, 9, 9, 9, 9, 9}) {
+		t.Fatalf("MMIOWriteBurst delivered %v, want eight 9s", r.nic.writes)
+	}
+}

@@ -161,6 +161,8 @@ func (c *CQ) EntryAddr(idx int) memspace.Addr {
 
 // push writes a CQE into the next slot (posted DMA write); software frees
 // slots by zeroing them after polling.
+//
+//putget:hot
 func (c *CQ) push(cqe CQE) {
 	addr := c.EntryAddr(c.wp)
 	if w0, err := c.hca.f.Space().ReadU64(addr); err == nil && CQEValidWord(w0) {
@@ -168,9 +170,9 @@ func (c *CQ) push(cqe CQE) {
 		return
 	}
 	cqe.Valid = true
-	buf := make([]byte, CQEBytes)
-	EncodeCQE(cqe, buf)
-	deliver := c.hca.f.PostedWrite(c.hca.ep, addr, buf)
+	var buf [CQEBytes]byte
+	EncodeCQE(cqe, buf[:])
+	deliver := c.hca.f.PostedWrite(c.hca.ep, addr, buf[:])
 	if e := c.hca.e; e.Observing() {
 		// Opened after the posted write so it out-nests the pcie span
 		// covering the same interval.

@@ -34,18 +34,6 @@ func (r Region) Overlaps(o Region) bool {
 	return r.Base < o.End() && o.Base < r.End()
 }
 
-// Memory is anything that stores bytes at region-relative offsets.
-type Memory interface {
-	// Name identifies the device in errors and traces.
-	Name() string
-	// ReadAt copies len(b) bytes starting at offset off into b.
-	ReadAt(off uint64, b []byte) error
-	// WriteAt copies b into the device starting at offset off.
-	WriteAt(off uint64, b []byte) error
-	// Size returns the device capacity in bytes.
-	Size() uint64
-}
-
 // RAM pages are 4 KiB, held in a two-level table: one pointer per 64 KiB
 // chunk, each chunk a block of 16 lazily allocated pages. Small pages keep
 // a run's scattered rings, flags and buffers from materializing 64 KiB
@@ -81,10 +69,10 @@ func NewRAM(name string, size uint64) *RAM {
 	return &RAM{name: name, size: size, chunks: make([]*ramChunk, (size+1<<ramChunkShift-1)>>ramChunkShift)}
 }
 
-// Name implements Memory.
+// Name identifies the device in errors.
 func (r *RAM) Name() string { return r.name }
 
-// Size implements Memory.
+// Size returns the device capacity in bytes.
 func (r *RAM) Size() uint64 { return r.size }
 
 // page returns the page holding off, or nil when it was never written.
@@ -110,7 +98,7 @@ func (r *RAM) writablePage(off uint64) *ramPage {
 	return *pg
 }
 
-// ReadAt implements Memory.
+// ReadAt copies len(b) bytes starting at offset off into b.
 func (r *RAM) ReadAt(off uint64, b []byte) error {
 	if off+uint64(len(b)) > r.size || off+uint64(len(b)) < off {
 		return fmt.Errorf("memspace: %s: read [%#x,%#x) out of bounds (size %#x)", r.name, off, off+uint64(len(b)), r.size)
@@ -160,7 +148,7 @@ func (r *RAM) writeWord(off uint64, v uint64) bool {
 	return true
 }
 
-// WriteAt implements Memory.
+// WriteAt copies b into the device starting at offset off.
 func (r *RAM) WriteAt(off uint64, b []byte) error {
 	if off+uint64(len(b)) > r.size || off+uint64(len(b)) < off {
 		return fmt.Errorf("memspace: %s: write [%#x,%#x) out of bounds (size %#x)", r.name, off, off+uint64(len(b)), r.size)
@@ -175,13 +163,13 @@ func (r *RAM) WriteAt(off uint64, b []byte) error {
 	return nil
 }
 
-// mapping binds a region of the space to a memory device.
+// mapping binds a region of the space to a RAM device.
 type mapping struct {
 	region Region
-	mem    Memory
+	ram    *RAM
 }
 
-// Space routes physical addresses to mapped memory devices. One Space
+// Space routes physical addresses to mapped RAM devices. One Space
 // exists per node; the two nodes of a testbed have independent spaces.
 type Space struct {
 	maps []mapping
@@ -190,22 +178,22 @@ type Space struct {
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
 
-// Map binds mem at base. Overlapping mappings are rejected.
-func (s *Space) Map(base Addr, mem Memory) (Region, error) {
-	r := Region{Base: base, Size: mem.Size()}
+// Map binds ram at base. Overlapping mappings are rejected.
+func (s *Space) Map(base Addr, ram *RAM) (Region, error) {
+	r := Region{Base: base, Size: ram.Size()}
 	for _, m := range s.maps {
 		if m.region.Overlaps(r) {
 			return Region{}, fmt.Errorf("memspace: mapping %s at %#x overlaps %s at %#x",
-				mem.Name(), base, m.mem.Name(), m.region.Base)
+				ram.Name(), base, m.ram.Name(), m.region.Base)
 		}
 	}
-	s.maps = append(s.maps, mapping{region: r, mem: mem})
+	s.maps = append(s.maps, mapping{region: r, ram: ram})
 	return r, nil
 }
 
 // MustMap is Map that panics on error; for fixed testbed construction.
-func (s *Space) MustMap(base Addr, mem Memory) Region {
-	r, err := s.Map(base, mem)
+func (s *Space) MustMap(base Addr, ram *RAM) Region {
+	r, err := s.Map(base, ram)
 	if err != nil {
 		panic(err)
 	}
@@ -213,10 +201,10 @@ func (s *Space) MustMap(base Addr, mem Memory) Region {
 }
 
 // Lookup returns the device and region containing a.
-func (s *Space) Lookup(a Addr) (Memory, Region, error) {
+func (s *Space) Lookup(a Addr) (*RAM, Region, error) {
 	for _, m := range s.maps {
 		if m.region.Contains(a) {
-			return m.mem, m.region, nil
+			return m.ram, m.region, nil
 		}
 	}
 	return nil, Region{}, fmt.Errorf("memspace: address %#x unmapped", a)
@@ -226,43 +214,37 @@ func (s *Space) Lookup(a Addr) (Memory, Region, error) {
 // mapping boundary — hardware DMA never does, and catching it here turns
 // model bugs into loud failures.
 func (s *Space) Read(a Addr, b []byte) error {
-	mem, region, err := s.Lookup(a)
+	ram, region, err := s.Lookup(a)
 	if err != nil {
 		return err
 	}
-	return mem.ReadAt(uint64(a-region.Base), b)
+	return ram.ReadAt(uint64(a-region.Base), b)
 }
 
 // Write copies b to address a.
 func (s *Space) Write(a Addr, b []byte) error {
-	mem, region, err := s.Lookup(a)
+	ram, region, err := s.Lookup(a)
 	if err != nil {
 		return err
 	}
-	return mem.WriteAt(uint64(a-region.Base), b)
+	return ram.WriteAt(uint64(a-region.Base), b)
 }
 
 // ReadU64 reads a little-endian 64-bit word at a. A word inside one RAM
-// page is read in place; anything else goes through the Memory interface.
+// page is read in place; one straddling two pages takes the byte path.
 //
 //putget:hot
 func (s *Space) ReadU64(a Addr) (uint64, error) {
-	mem, region, err := s.Lookup(a)
+	ram, region, err := s.Lookup(a)
 	if err != nil {
 		return 0, err
 	}
 	off := uint64(a - region.Base)
-	if r, ok := mem.(*RAM); ok {
-		if v, ok := r.readWord(off); ok {
-			return v, nil
-		}
+	if v, ok := ram.readWord(off); ok {
+		return v, nil
 	}
-	return readU64(mem, off)
-}
-
-func readU64(mem Memory, off uint64) (uint64, error) {
 	var b [8]byte
-	if err := mem.ReadAt(off, b[:]); err != nil {
+	if err := ram.ReadAt(off, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -273,21 +255,17 @@ func readU64(mem Memory, off uint64) (uint64, error) {
 //
 //putget:hot
 func (s *Space) WriteU64(a Addr, v uint64) error {
-	mem, region, err := s.Lookup(a)
+	ram, region, err := s.Lookup(a)
 	if err != nil {
 		return err
 	}
 	off := uint64(a - region.Base)
-	if r, ok := mem.(*RAM); ok && r.writeWord(off, v) {
+	if ram.writeWord(off, v) {
 		return nil
 	}
-	return writeU64(mem, off, v)
-}
-
-func writeU64(mem Memory, off uint64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return mem.WriteAt(off, b[:])
+	return ram.WriteAt(off, b[:])
 }
 
 // ReadU32 reads a little-endian 32-bit word at a.

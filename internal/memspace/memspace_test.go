@@ -146,9 +146,11 @@ func TestSpaceRoundTripProperty(t *testing.T) {
 }
 
 // TestWordAccessDoesNotAllocate pins Space.ReadU64/WriteU64 on RAM at
-// zero allocations: a word inside one page is read and written in place
-// instead of through a byte slice passed to the Memory interface. A
-// word straddling two pages takes the byte path and must still agree.
+// zero allocations: a word inside one page is read and written in place.
+// Byte reads and writes of stack arrays, including ones straddling two
+// pages, allocate nothing either: the space hands them to the RAM, which
+// does not keep them. A word straddling two pages takes the byte path
+// and must still agree.
 func TestWordAccessDoesNotAllocate(t *testing.T) {
 	s := NewSpace()
 	s.MustMap(0x1000, NewRAM("r", 4*ramPageSize))
@@ -165,6 +167,20 @@ func TestWordAccessDoesNotAllocate(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("word access: %v allocs/op, want 0", got)
+	}
+	got = testing.AllocsPerRun(1000, func() {
+		n++
+		var w, r [32]byte
+		w[0] = byte(n)
+		if err := s.Write(0x1000+ramPageSize-16, w[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Read(0x1000+ramPageSize-16, r[:]); err != nil || r != w {
+			t.Fatalf("read back %x, %v; want %x", r, err, w)
+		}
+	})
+	if got != 0 {
+		t.Errorf("stack byte access: %v allocs/op, want 0", got)
 	}
 	if v, err := s.ReadU64(0x1000 + 3*ramPageSize); err != nil || v != 0 {
 		t.Fatalf("untouched page read %d, %v; want 0", v, err)
@@ -275,4 +291,83 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return -1
+}
+
+// FuzzRAM drives a mapped RAM with Read, Write, ReadU64 and WriteU64 at
+// offsets near 4 KiB page and 64 KiB chunk boundaries and the device's
+// end (on either side of each), and checks every result and error
+// against a flat slice. Each op is four input bytes: the kind, an anchor,
+// a signed offset from it and a length.
+func FuzzRAM(f *testing.F) {
+	f.Add([]byte{1, 1, 0xf8, 16, 0, 1, 0xf8, 16})                     // write then read across page 0|1
+	f.Add([]byte{3, 2, 0xfd, 0, 2, 2, 0xfd, 0, 0, 2, 0xf0, 40})       // a word across chunks 0|1
+	f.Add([]byte{1, 4, 0xfc, 8, 3, 4, 0xfc, 0, 2, 4, 0xf9, 0})        // runs past the end
+	f.Add([]byte{1, 0, 0x80, 250, 0, 3, 0x7f, 220, 3, 0, 0xff, 0})    // below the base, a long read
+	f.Add([]byte{1, 3, 0x10, 255, 0, 3, 0x00, 255, 2, 4, 0x00, 0, 0}) // pages of chunk 2; at the end
+	const (
+		base = Addr(0x4_0000)
+		size = 2<<ramChunkShift + 3*ramPageSize + 5
+	)
+	anchors := [...]int64{0, ramPageSize, 1 << ramChunkShift, 2<<ramChunkShift + ramPageSize, size}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewSpace()
+		s.MustMap(base, NewRAM("fuzz", size))
+		ref := make([]byte, size)
+		for seq := uint64(1); len(ops) >= 4; seq++ {
+			kind := ops[0] % 4
+			off := anchors[int(ops[1])%len(anchors)] + int64(int8(ops[2]))
+			n := int64(ops[3])
+			if n > 200 {
+				n = (n - 200) * 300 // up to 16 KiB: several pages
+			}
+			ops = ops[4:]
+			if kind >= 2 {
+				n = 8
+			}
+			a := base + Addr(off) // off < 0 wraps below base: unmapped
+			ok := off >= 0 && off < size && off+n <= size
+			check := func(op string, err error) {
+				if (err == nil) != ok {
+					t.Fatalf("op %d: %s(+%d, %d): err %v, want ok=%v", seq, op, off, n, err, ok)
+				}
+			}
+			switch kind {
+			case 0:
+				b := bytes.Repeat([]byte{0xAA}, int(n))
+				err := s.Read(a, b)
+				check("Read", err)
+				if ok && !bytes.Equal(b, ref[off:off+n]) {
+					t.Fatalf("op %d: Read(+%d, %d) = %x, want %x", seq, off, n, b, ref[off:off+n])
+				}
+			case 1:
+				b := make([]byte, n)
+				for i := range b {
+					b[i] = byte(seq) ^ byte(i)
+				}
+				check("Write", s.Write(a, b))
+				if ok {
+					copy(ref[off:], b)
+				}
+			case 2:
+				v, err := s.ReadU64(a)
+				check("ReadU64", err)
+				if ok && v != binary.LittleEndian.Uint64(ref[off:]) {
+					t.Fatalf("op %d: ReadU64(+%d) = %#x, want %#x", seq, off, v, binary.LittleEndian.Uint64(ref[off:]))
+				}
+			case 3:
+				v := seq * 0x9E37_79B9_7F4A_7C15
+				check("WriteU64", s.WriteU64(a, v))
+				if ok {
+					binary.LittleEndian.PutUint64(ref[off:], v)
+				}
+			}
+		}
+		got := make([]byte, size)
+		if err := s.Read(base, got); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, ref); i >= 0 {
+			t.Fatalf("byte +%#x = %#x, want %#x", i, got[i], ref[i])
+		}
+	})
 }

@@ -18,7 +18,6 @@
 package pcie
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"putget/internal/memspace"
@@ -40,9 +39,8 @@ const ChunkSize = 4096
 // block, only mutate device state, signal, or schedule events.
 type Target interface {
 	// MMIOWrite handles a posted write of data at addr. data is valid
-	// only until MMIOWrite returns: the fabric recycles it (a word write's
-	// bytes live in a pooled op), so a target decodes it and keeps none
-	// of it.
+	// only until MMIOWrite returns: the bytes live in a pooled op the
+	// fabric recycles, so a target decodes them and keeps none of them.
 	MMIOWrite(addr memspace.Addr, data []byte)
 	// MMIORead fills data from register state at addr.
 	MMIORead(addr memspace.Addr, data []byte)
@@ -230,27 +228,16 @@ func flight(src, dst *Endpoint) sim.Duration {
 // PostedWrite sends data to addr as a posted (fire-and-forget) write. The
 // caller does not block; serialization is booked on src's egress link and
 // the functional effect (memory write or MMIO handler) fires at the
-// returned delivery time. data is captured by reference: callers must
-// treat it as frozen.
+// returned delivery time. The write copies data when it is posted, as a
+// TLP carries its bytes from the moment it is issued: the caller may
+// reuse data as soon as PostedWrite returns.
+//
+//putget:hot
 func (f *Fabric) PostedWrite(src *Endpoint, addr memspace.Addr, data []byte) sim.Time {
-	w := f.newWriteOp()
-	w.data = data
-	return f.post(src, addr, w)
-}
-
-// PostedWriteWord is PostedWrite of the n low-order bytes of v (n is 4
-// or 8), little-endian. The bytes travel in the pooled op, so the write
-// allocates nothing.
-func (f *Fabric) PostedWriteWord(src *Endpoint, addr memspace.Addr, v uint64, n int) sim.Time {
-	w := f.newWriteOp()
-	binary.LittleEndian.PutUint64(w.word[:], v)
-	w.data = w.word[:n]
-	return f.post(src, addr, w)
-}
-
-// post books w's single TLP on src's egress and schedules its delivery.
-func (f *Fabric) post(src *Endpoint, addr memspace.Addr, w *writeOp) sim.Time {
 	o := f.owner(addr)
+	w := f.newWriteOp()
+	w.buf = append(w.buf[:0], data...)
+	w.data = w.buf
 	src.stats.PostedWrites++
 	src.stats.BytesWritten += uint64(len(w.data))
 	sent := src.egress.Reserve(len(w.data) + TLPHeader)
@@ -274,9 +261,9 @@ func (f *Fabric) post(src *Endpoint, addr memspace.Addr, w *writeOp) sim.Time {
 }
 
 // writeOp is one posted write (or write train) from its post to its
-// delivery. Ops are pooled per fabric, like readOp; a word write carries
-// its bytes in word. A Target's MMIOWrite must not retain data, which may
-// be that inline word.
+// delivery. Ops are pooled per fabric, like readOp. A PostedWrite's
+// bytes travel in buf, which the op keeps across reuse; a write train's
+// data is the caller's payload.
 type writeOp struct {
 	sim.Step[*writeOp]
 	f      *Fabric
@@ -285,7 +272,7 @@ type writeOp struct {
 	data   []byte
 	pl     *sim.Payload // released right after delivery; nil for none
 	posted sim.Time
-	word   [8]byte
+	buf    []byte // PostedWrite's copy of its bytes
 }
 
 func (f *Fabric) newWriteOp() *writeOp {
@@ -306,7 +293,7 @@ func (w *writeOp) deliver() {
 	f := w.f
 	f.deliverWrite(w.o, w.addr, w.data, w.posted)
 	w.pl.Release()
-	*w = writeOp{Step: w.Step, f: f}
+	*w = writeOp{Step: w.Step, f: f, buf: w.buf}
 	f.writeFree = append(f.writeFree, w)
 }
 
@@ -337,10 +324,20 @@ func (f *Fabric) FlushWrites(p *sim.Proc, src *Endpoint) {
 
 // Read performs a blocking non-posted read of len(buf) bytes at addr —
 // the control-path primitive (notification polls, CQ polls, register
-// reads). The initiator observes the full round trip.
+// reads). The initiator observes the full round trip. The data is read
+// into the pooled op and copied out once it arrives, so buf is not held.
+//
+//putget:hot
 func (f *Fabric) Read(p *sim.Proc, src *Endpoint, addr memspace.Addr, buf []byte) {
-	f.ReadFunc(src, addr, buf, p.WakeFunc())
+	r := f.newReadOp()
+	if cap(r.mem) < len(buf) {
+		r.mem = make([]byte, len(buf))
+	}
+	r.buf, r.owned = r.mem[:len(buf)], true
+	f.startRead(r, src, addr, p.WakeFunc())
 	p.Await()
+	copy(buf, r.buf)
+	r.free()
 }
 
 // ReadFunc is the callback form of Read: it starts the read and calls
@@ -350,18 +347,6 @@ func (f *Fabric) ReadFunc(src *Endpoint, addr memspace.Addr, buf []byte, done fu
 	r := f.newReadOp()
 	r.buf = buf
 	f.startRead(r, src, addr, done)
-}
-
-// ReadWord is Read of an n-byte little-endian word (n is 4 or 8). The
-// word is read into the pooled op, so the read allocates nothing.
-func (f *Fabric) ReadWord(p *sim.Proc, src *Endpoint, addr memspace.Addr, n int) uint64 {
-	r := f.newReadOp()
-	r.buf, r.owned = r.word[:n], true
-	f.startRead(r, src, addr, p.WakeFunc())
-	p.Await()
-	v := binary.LittleEndian.Uint64(r.word[:])
-	r.free()
-	return v
 }
 
 func (f *Fabric) startRead(r *readOp, src *Endpoint, addr memspace.Addr, done func()) {
@@ -388,8 +373,8 @@ type readOp struct {
 	addr  memspace.Addr
 	buf   []byte
 	done  func()
-	owned bool    // ReadWord frees the op once it has taken word
-	word  [8]byte // ReadWord's buffer
+	owned bool   // Read frees the op once it has copied the data out
+	mem   []byte // Read's buffer, kept across reuse
 }
 
 func (f *Fabric) newReadOp() *readOp {
@@ -404,7 +389,7 @@ func (f *Fabric) newReadOp() *readOp {
 }
 
 func (r *readOp) free() {
-	*r = readOp{Step: r.Step, f: r.f}
+	*r = readOp{Step: r.Step, f: r.f, mem: r.mem}
 	r.f.readFree = append(r.f.readFree, r)
 }
 
@@ -423,7 +408,7 @@ func (r *readOp) served() {
 func (r *readOp) responded() { r.After(flight(r.o.ep, r.src), (*readOp).finish) }
 
 // finish recycles the op, then hands the data to the initiator (a
-// ReadWord frees the op itself, after it has taken the word).
+// blocking Read frees the op itself, after it has copied the data out).
 func (r *readOp) finish() {
 	done := r.done
 	if !r.owned {

@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"putget/internal/memspace"
@@ -375,13 +376,17 @@ func TestUtilizationVisible(t *testing.T) {
 	}
 }
 
-// TestWordAccesses checks the word forms against their byte twins: a
-// word write lands its n low-order bytes little-endian, and a word read
-// returns them zero-extended, in the same time as Read.
+// TestWordAccesses checks word-sized accesses through the byte forms
+// with stack buffers: a 4- or 8-byte write lands exactly its bytes, a
+// 4-byte read of a word returns its low half (zero-extended by the
+// caller), and a word read takes the same time as any other 8-byte Read.
 func TestWordAccesses(t *testing.T) {
 	tb := newTestbed(t)
-	tb.f.PostedWriteWord(tb.cpuEP, 0x100, 0x1122334455667788, 8)
-	tb.f.PostedWriteWord(tb.cpuEP, 0x200, 0xaabbccdd99, 4)
+	var w8, w4 [8]byte
+	binary.LittleEndian.PutUint64(w8[:], 0x1122334455667788)
+	binary.LittleEndian.PutUint64(w4[:], 0xaabbccdd99)
+	tb.f.PostedWrite(tb.cpuEP, 0x100, w8[:])
+	tb.f.PostedWrite(tb.cpuEP, 0x200, w4[:4])
 	tb.e.Run()
 	got := make([]byte, 8)
 	if err := tb.f.Space().Read(0x200, got); err != nil {
@@ -393,26 +398,54 @@ func TestWordAccesses(t *testing.T) {
 	var v64, v32 uint64
 	var tWord, tRead sim.Time
 	tb.e.Spawn("reader", func(p *sim.Proc) {
+		var b8 [8]byte
 		start := p.Now()
-		v64 = tb.f.ReadWord(p, tb.gpuEP, 0x100, 8)
+		tb.f.Read(p, tb.gpuEP, 0x100, b8[:])
 		tWord = p.Now() - start
-		v32 = tb.f.ReadWord(p, tb.gpuEP, 0x100, 4)
+		v64 = binary.LittleEndian.Uint64(b8[:])
+		var b4 [4]byte
+		tb.f.Read(p, tb.gpuEP, 0x100, b4[:])
+		v32 = uint64(binary.LittleEndian.Uint32(b4[:]))
 		start = p.Now()
 		tb.f.Read(p, tb.gpuEP, 0x100, make([]byte, 8))
 		tRead = p.Now() - start
 	})
 	tb.e.Run()
 	if v64 != 0x1122334455667788 || v32 != 0x55667788 {
-		t.Fatalf("ReadWord = %#x, %#x", v64, v32)
+		t.Fatalf("word reads = %#x, %#x", v64, v32)
 	}
 	if tWord != tRead {
-		t.Fatalf("ReadWord took %v, Read %v", tWord, tRead)
+		t.Fatalf("stack-buffer word read took %v, Read %v", tWord, tRead)
 	}
 }
 
-// TestWritesDoNotAllocate pins the posted-write paths at zero
-// allocations per delivered write, once warm: each write travels in a
-// pooled op, and a word write carries its bytes inline.
+// TestPostedWriteCopiesAtPost overwrites the caller's buffer right after
+// each PostedWrite, to RAM and to an MMIO target: the write still
+// delivers the bytes as they were when it was posted.
+func TestPostedWriteCopiesAtPost(t *testing.T) {
+	tb := newTestbed(t)
+	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	tb.f.PostedWrite(tb.cpuEP, 0x100, buf)
+	copy(buf, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+	tb.f.PostedWrite(tb.gpuEP, tb.bar.Base+0x10, buf)
+	clear(buf)
+	tb.e.Run()
+	got := make([]byte, 8)
+	if err := tb.f.Space().Read(0x100, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{1, 2, 3, 4, 5, 6, 7, 8}; string(got) != string(want) {
+		t.Fatalf("RAM write delivered % x, want % x", got, want)
+	}
+	if len(tb.mmio.writes) != 1 || string(tb.mmio.writes[0].data) != string([]byte{9, 9, 9, 9, 9, 9, 9, 9}) {
+		t.Fatalf("MMIO write delivered %+v, want eight 9s", tb.mmio.writes)
+	}
+}
+
+// TestWritesDoNotAllocate pins the posted-write paths and the blocking
+// read at zero allocations per op, once warm: each travels in a pooled
+// op that keeps its byte buffer, so stack-array words neither escape
+// nor get copied to the heap.
 func TestWritesDoNotAllocate(t *testing.T) {
 	tb := newTestbed(t)
 	defer tb.e.Shutdown()
@@ -423,7 +456,16 @@ func TestWritesDoNotAllocate(t *testing.T) {
 		op   func()
 	}{
 		{"PostedWrite", func() { tb.f.PostedWrite(tb.cpuEP, 0x100, data) }},
-		{"PostedWriteWord", func() { v++; tb.f.PostedWriteWord(tb.cpuEP, 0x108, v, 8) }},
+		{"PostedWrite/stack word", func() {
+			v++
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			tb.f.PostedWrite(tb.cpuEP, 0x108, b[:])
+		}},
+		{"PostedWrite/stack WQE", func() {
+			var b [64]byte
+			tb.f.PostedWrite(tb.gpuEP, 0x400, b[:])
+		}},
 		{"WritePayloadReserve", func() {
 			pl := tb.e.NewPayload(64)
 			tb.f.WritePayloadReserve(tb.nicEP, tb.devRAM.Base, pl.B, pl)
@@ -437,5 +479,23 @@ func TestWritesDoNotAllocate(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, step); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
 		}
+	}
+	// The reader proc does one stack-buffer Read per step.
+	var reads int
+	tb.e.Spawn("reader", func(p *sim.Proc) {
+		for {
+			var b [8]byte
+			tb.f.Read(p, tb.cpuEP, 0x100, b[:])
+			reads++
+		}
+	})
+	step := func() {
+		for want := reads + 1; reads < want; {
+			tb.e.RunUntil(tb.e.Now() + sim.Time(100*sim.Nanosecond))
+		}
+	}
+	step()
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Errorf("Read/stack word: %v allocs/op, want 0", got)
 	}
 }

@@ -250,7 +250,11 @@ func TestAllReduce64Ranks(t *testing.T) {
 // to its shutdown, on allocs/op. The ceilings are 1.15x the counts
 // measured with pooled hop and posted-write ops and the sparse L2; with a
 // closure per hop and per write and 16 ways per touched L2 set they were
-// 31,026, 12,095, 26,390 and 10,574.
+// 31,026, 12,095, 26,390 and 10,574. The recursive-doubling ceilings are
+// 1.15x the counts with posted writes copying into pooled ops (5,255 and
+// 7,692 before); the ring counts rose slightly with them (5,717 and
+// 10,962: each pooled op allocates its byte buffer once), so
+// their ceilings stay.
 func TestAllReduceAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		k    transport.Kind
@@ -259,9 +263,9 @@ func TestAllReduceAllocs(t *testing.T) {
 		base float64
 	}{
 		{transport.KindExtoll, topo.FatTree, Ring, 5637},
-		{transport.KindExtoll, topo.FatTree, RecursiveDoubling, 5255},
+		{transport.KindExtoll, topo.FatTree, RecursiveDoubling, 5218},
 		{transport.KindIB, topo.Torus3D, Ring, 10932},
-		{transport.KindIB, topo.Torus3D, RecursiveDoubling, 7692},
+		{transport.KindIB, topo.Torus3D, RecursiveDoubling, 7340},
 	} {
 		got := testing.AllocsPerRun(1, func() {
 			w := newTestWorldN(tc.k, topo.Spec{Kind: tc.spec}, 16)
