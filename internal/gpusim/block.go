@@ -36,10 +36,11 @@ func (b *Block) SharedBytes() int { return len(b.shared) }
 func (w *Warp) SyncThreads() {
 	b := w.block
 	if b == nil || b.warps == 1 {
-		w.issue(1)
+		w.issue(1, true)
 		return
 	}
-	w.issue(1)
+	w.sync()
+	w.issue(1, false)
 	b.arrived++
 	if b.arrived == b.warps {
 		b.arrived = 0
@@ -52,6 +53,7 @@ func (w *Warp) SyncThreads() {
 
 // LdSharedU64 loads a 64-bit word from block shared memory.
 func (w *Warp) LdSharedU64(off int) uint64 {
+	w.sync()
 	b := w.mustBlockShared(off, 8, "LdSharedU64")
 	w.g.ctr.InstrExecuted++
 	w.g.ctr.MemAccesses++
@@ -63,6 +65,7 @@ func (w *Warp) LdSharedU64(off int) uint64 {
 
 // StSharedU64 stores a 64-bit word to block shared memory.
 func (w *Warp) StSharedU64(off int, v uint64) {
+	w.sync()
 	b := w.mustBlockShared(off, 8, "StSharedU64")
 	w.g.ctr.InstrExecuted++
 	w.g.ctr.MemAccesses++
@@ -75,6 +78,7 @@ func (w *Warp) StSharedU64(off int, v uint64) {
 // AtomicAddSharedU64 performs a shared-memory fetch-and-add (serialized
 // structurally: one warp executes at a time under the engine).
 func (w *Warp) AtomicAddSharedU64(off int, delta uint64) uint64 {
+	w.sync()
 	b := w.mustBlockShared(off, 8, "AtomicAddSharedU64")
 	w.g.ctr.InstrExecuted++
 	w.g.ctr.MemAccesses++

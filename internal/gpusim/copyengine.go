@@ -58,6 +58,7 @@ func (g *GPU) newCopyEngine() *copyEngine {
 // the cudaMemcpyAsync analogue. Device-to-device and host-to-host copies
 // are rejected: use kernels or the CPU for those.
 func (g *GPU) CopyAsync(dst, src memspace.Addr, n int) *sim.Completion {
+	g.settle()
 	g.copyEngines()
 	d2h := g.isDevice(src) && !g.isDevice(dst)
 	h2d := !g.isDevice(src) && g.isDevice(dst)
@@ -65,6 +66,7 @@ func (g *GPU) CopyAsync(dst, src memspace.Addr, n int) *sim.Completion {
 		panic(fmt.Sprintf("gpusim: %s: CopyAsync needs one device and one host address (src %#x dst %#x)",
 			g.cfg.Name, uint64(src), uint64(dst)))
 	}
+	g.copying++
 	done := sim.NewCompletion(g.e)
 	req := copyReq{dst: dst, src: src, n: n, done: done}
 	if d2h {
@@ -119,9 +121,7 @@ func (c *copyEngine) landed() {
 	if err := g.f.Space().Write(req.dst, c.buf); err != nil {
 		panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
 	}
-	g.l2.InvalidateRange(uint64(req.dst), req.n)
-	g.inboundEpoch++
-	g.inboundSig.Broadcast()
+	g.wrote(req.dst, req.n)
 	c.finish()
 }
 
@@ -129,6 +129,7 @@ func (c *copyEngine) landed() {
 func (c *copyEngine) finish() {
 	done := c.cur.done
 	c.cur, c.buf = copyReq{}, nil
+	c.g.copying--
 	done.Complete()
 	c.recv()
 }

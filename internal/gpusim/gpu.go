@@ -92,6 +92,11 @@ type GPU struct {
 	// copy engines (lazily started by CopyAsync)
 	h2d, d2h *copyEngine
 
+	// warps live, launches queued or paying their overhead, and copy
+	// jobs not finished: a window needs one, none and none.
+	warps, launching, copying int
+	ra                        runAhead // see runahead.go
+
 	defaultStream *Stream
 	streamSeq     int // per-GPU: cells in other engines must not share state
 }
@@ -109,11 +114,8 @@ func New(e *sim.Engine, f *pcie.Fabric, cfg Config) *GPU {
 	f.ClaimRAM(g.ep, g.devMem)
 	g.l2 = NewL2(cfg.L2Bytes, cfg.L2Assoc, cfg.L2Sector)
 	g.inboundSig = sim.NewSignal(e)
-	g.ep.OnInboundWrite = func(addr memspace.Addr, n int, _ sim.Time) {
-		g.l2.InvalidateRange(uint64(addr), n)
-		g.inboundEpoch++
-		g.inboundSig.Broadcast()
-	}
+	g.ep.OnInboundWrite = func(addr memspace.Addr, n int, _ sim.Time) { g.wrote(addr, n) }
+	g.ra.init(g)
 	g.smIssue = make([]*sim.Server, cfg.SMs)
 	for i := range g.smIssue {
 		// Rate is irrelevant; issue is booked in durations.
@@ -136,13 +138,22 @@ func (g *GPU) Endpoint() *pcie.Endpoint { return g.ep }
 func (g *GPU) DevMem() memspace.Region { return g.devMem }
 
 // Counters returns a snapshot of the performance counters.
-func (g *GPU) Counters() Counters { return g.ctr }
+func (g *GPU) Counters() Counters {
+	g.mustNotLead("Counters()")
+	return g.ctr
+}
 
 // ResetCounters zeroes the performance counters (nvprof session start).
-func (g *GPU) ResetCounters() { g.ctr = Counters{} }
+func (g *GPU) ResetCounters() {
+	g.mustNotLead("ResetCounters()")
+	g.ctr = Counters{}
+}
 
 // L2 exposes the cache for tests and for explicit flushes.
-func (g *GPU) L2() *L2 { return g.l2 }
+func (g *GPU) L2() *L2 {
+	g.mustNotLead("L2()")
+	return g.l2
+}
 
 // Engine returns the simulation engine.
 func (g *GPU) Engine() *sim.Engine { return g.e }
@@ -155,19 +166,30 @@ func (g *GPU) isDevice(addr memspace.Addr) bool { return g.devMem.Contains(addr)
 // HostWrite copies data into the simulated machine without charging time;
 // use for buffer initialization, as cudaMemcpy before timing starts.
 func (g *GPU) HostWrite(addr memspace.Addr, data []byte) error {
+	g.settle()
 	if err := g.f.Space().Write(addr, data); err != nil {
 		return err
 	}
-	g.hostWrote(addr, len(data))
+	g.wrote(addr, len(data))
 	return nil
 }
 
-// hostWrote keeps the cache honest after a host write of n bytes at
-// addr: DMA'd data replaces whatever was cached.
-func (g *GPU) hostWrote(addr memspace.Addr, n int) {
+// wrote keeps the cache and the pollers honest after n bytes at addr
+// were written from outside the SMs (an inbound DMA or MMIO write, a
+// copy engine, a zero-time host write): the new data replaces whatever
+// was cached.
+func (g *GPU) wrote(addr memspace.Addr, n int) {
+	g.mustNotLead("a write into device memory")
 	g.l2.InvalidateRange(uint64(addr), n)
 	g.inboundEpoch++
 	g.inboundSig.Broadcast()
+}
+
+// writeWord is the functional (zero-time) word store into device memory.
+func (g *GPU) writeWord(addr memspace.Addr, v uint64) {
+	if err := g.f.Space().WriteU64(addr, v); err != nil {
+		panic(fmt.Sprintf("gpusim: %s: %v", g.cfg.Name, err))
+	}
 }
 
 // HostRead copies data out of the simulated machine without charging time.
@@ -177,10 +199,11 @@ func (g *GPU) HostRead(addr memspace.Addr, data []byte) error {
 
 // HostWriteU64 writes one 64-bit word, zero-time.
 func (g *GPU) HostWriteU64(addr memspace.Addr, v uint64) error {
+	g.settle()
 	if err := g.f.Space().WriteU64(addr, v); err != nil {
 		return err
 	}
-	g.hostWrote(addr, 8)
+	g.wrote(addr, 8)
 	return nil
 }
 
@@ -234,6 +257,7 @@ func (s *Stream) recv() {
 // launch starts the grid once the launch overhead has passed.
 func (s *Stream) launch() {
 	g := s.g
+	g.launching--
 	if g.e.Observing() {
 		s.span = g.e.SpanOpen(g.cfg.Name, "kernel",
 			sim.Attr{Key: "blocks", Val: int64(s.cur.cfg.Blocks)},
@@ -277,10 +301,12 @@ func (g *GPU) Launch(cfg KernelConfig, body func(w *Warp)) *sim.Completion {
 	if cfg.ThreadsPerBlock > 1024 {
 		panic(fmt.Sprintf("gpusim: ThreadsPerBlock %d exceeds the 1024-thread block limit", cfg.ThreadsPerBlock))
 	}
+	g.settle()
 	st := cfg.Stream
 	if st == nil {
 		st = g.defaultStream
 	}
+	g.launching++
 	done := sim.NewCompletion(g.e)
 	st.q.Send(launchReq{cfg: cfg, body: body, done: done})
 	return done
@@ -319,9 +345,12 @@ func (g *GPU) runGrid(cfg KernelConfig, body func(w *Warp)) *sim.Completion {
 				block:  blk,
 			}
 			name := fmt.Sprintf("%s.b%d.w%d", g.cfg.Name, b, wi)
+			g.warps++
 			g.e.Spawn(name, func(p *sim.Proc) {
 				w.p = p
 				body(w)
+				w.sync()
+				g.warps--
 				remaining--
 				if remaining == 0 {
 					done.Complete()

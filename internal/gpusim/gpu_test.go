@@ -45,6 +45,10 @@ func testConfig() Config {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
+	return buildRig()
+}
+
+func buildRig() *rig {
 	e := sim.NewEngine()
 	space := memspace.NewSpace()
 	host := space.MustMap(0x0, memspace.NewRAM("host", 4<<20))
@@ -91,7 +95,10 @@ func TestGlobalMemoryRoundTrip(t *testing.T) {
 // go through the space's in-place word access, system-memory loads read
 // into the fabric's pooled read op, and system-memory stores copy their
 // bytes into a pooled posted-write op, so a stack array stays on the
-// stack. HostWriteU64 rides along.
+// stack. HostWriteU64 rides along. Each op runs twice: alone, and behind
+// a queue kept busy by a ticking process, where the local ops open
+// run-ahead windows (their replay and store buffer reuse the GPU's
+// buffers).
 func TestGlobalU64DoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -119,26 +126,63 @@ func TestGlobalU64DoesNotAllocate(t *testing.T) {
 			w.Exec(1)
 		}},
 	} {
+		for _, busy := range []bool{false, true} {
+			r := newRig(t)
+			base := r.g.DevMem().Base
+			var ops uint64
+			r.g.Launch(KernelConfig{Blocks: 1, ThreadsPerBlock: 1}, func(w *Warp) {
+				for {
+					tc.op(w, base+64, r.host.Base+64, ops)
+					ops++
+				}
+			})
+			if busy {
+				r.e.Spawn("tick", func(p *sim.Proc) {
+					for {
+						p.Sleep(3 * sim.Nanosecond)
+					}
+				})
+			}
+			// step runs the engine until the warp has done one more op.
+			step := func() {
+				for want := ops + 1; ops < want; {
+					r.e.RunUntil(r.e.Now() + sim.Time(100*sim.Nanosecond))
+				}
+			}
+			step()
+			if got := testing.AllocsPerRun(1000, step); got != 0 {
+				t.Errorf("%s (busy %v): %v allocs/op, want 0", tc.name, busy, got)
+			}
+			r.e.Shutdown()
+		}
+	}
+}
+
+// TestBusyQueueOpensWindows checks that the busy runs above really run
+// ahead: the local ops switch less than with run-ahead off.
+func TestBusyQueueOpensWindows(t *testing.T) {
+	handoffs := func(off bool) uint64 {
 		r := newRig(t)
+		defer r.e.Shutdown()
+		r.g.ra.off = off
 		base := r.g.DevMem().Base
-		var ops uint64
 		r.g.Launch(KernelConfig{Blocks: 1, ThreadsPerBlock: 1}, func(w *Warp) {
-			for {
-				tc.op(w, base+64, r.host.Base+64, ops)
-				ops++
+			for i := uint64(0); ; i++ {
+				w.StGlobalU64(base+64, w.LdGlobalU64(base+64)+i)
 			}
 		})
-		// step runs the engine until the warp has done one more op.
-		step := func() {
-			for want := ops + 1; ops < want; {
-				r.e.RunUntil(r.e.Now() + sim.Time(10*sim.Nanosecond))
+		r.e.Spawn("tick", func(p *sim.Proc) {
+			for {
+				p.Sleep(3 * sim.Nanosecond)
 			}
-		}
-		step()
-		if got := testing.AllocsPerRun(1000, step); got != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
-		}
-		r.e.Shutdown()
+		})
+		r.e.RunUntil(sim.Time(24 * sim.Microsecond))
+		return r.e.Handoffs()
+	}
+	// The ticker switches about as often either way; the warp's ~620
+	// sleeps switch in well under a tenth of them with run-ahead.
+	if on, off := handoffs(false), handoffs(true); 3*on > 2*off {
+		t.Errorf("%d handoffs with run-ahead, %d without: want at most two thirds", on, off)
 	}
 }
 

@@ -11,7 +11,8 @@ import "math/bits"
 // receives lane i+delta's value; upper lanes keep their own, as the
 // hardware intrinsic does out-of-range). One warp instruction.
 func (w *Warp) ShflDownU64(vals []uint64, delta int) []uint64 {
-	w.issue(1)
+	w.sync()
+	w.issue(1, false)
 	out := make([]uint64, len(vals))
 	for i := range vals {
 		j := i + delta
@@ -31,7 +32,7 @@ func (w *Warp) WarpReduceAddU64(vals []uint64) uint64 {
 	cur := append([]uint64(nil), vals...)
 	for delta := nextPow2(len(cur)) / 2; delta > 0; delta /= 2 {
 		shifted := w.ShflDownU64(cur, delta)
-		w.issue(1) // the add
+		w.issue(1, false) // the add
 		for i := range cur {
 			if i+delta < len(cur) {
 				cur[i] += shifted[i]
@@ -47,7 +48,8 @@ func (w *Warp) WarpReduceAddU64(vals []uint64) uint64 {
 // Ballot returns a bitmask of the lanes whose predicate is true. One warp
 // instruction.
 func (w *Warp) Ballot(pred []bool) uint32 {
-	w.issue(1)
+	w.sync()
+	w.issue(1, false)
 	var mask uint32
 	for i, p := range pred {
 		if p {
@@ -69,7 +71,7 @@ func (w *Warp) All(pred []bool) bool {
 // PopcLanes counts the true lanes (ballot + popc).
 func (w *Warp) PopcLanes(pred []bool) int {
 	m := w.Ballot(pred)
-	w.issue(1)
+	w.issue(1, false)
 	return bits.OnesCount32(m)
 }
 

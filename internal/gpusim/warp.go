@@ -14,7 +14,9 @@ import (
 // the GPU performance counters at the granularities nvprof reports.
 //
 // Methods must only be called from the warp's own process (inside the
-// kernel body passed to Launch).
+// kernel body passed to Launch). The local ops (Exec, SyncWarp,
+// LdGlobalU64, StGlobalU64 and a single-warp SyncThreads) may run ahead
+// of the engine clock (see runahead.go); every other op syncs first.
 type Warp struct {
 	g      *GPU
 	p      *sim.Proc
@@ -29,15 +31,22 @@ type Warp struct {
 func (w *Warp) GPU() *GPU { return w.g }
 
 // Proc exposes the underlying process (for integrating with sim waits).
-func (w *Warp) Proc() *sim.Proc { return w.p }
+// The warp syncs first, so the process's clock is the warp's.
+func (w *Warp) Proc() *sim.Proc {
+	w.sync()
+	return w.p
+}
 
-// Now returns current virtual time.
-func (w *Warp) Now() sim.Time { return w.p.Now() }
+// Now returns the warp's virtual time, which leads the engine's while
+// the warp runs ahead.
+func (w *Warp) Now() sim.Time { return w.now() }
 
 // issue books n instructions of issue time on this warp's SM and counts
 // them. Co-resident warps serialize on the SM's issue port, which is the
-// first-order effect of warp scheduling for our small grids.
-func (w *Warp) issue(n int) {
+// first-order effect of warp scheduling for our small grids. A local op
+// sleeps through the issue with the window-aware sleep; every other op
+// has synced, and sleeps on the engine.
+func (w *Warp) issue(n int, local bool) {
 	if n <= 0 {
 		return
 	}
@@ -49,21 +58,26 @@ func (w *Warp) issue(n int) {
 	// The warp's own progress is bounded by its dependent-chain latency;
 	// the SM issue port is only occupied for 1/share of that, so up to
 	// `share` co-resident warps overlap in each other's pipeline bubbles.
+	now := w.now()
 	latency := sim.Duration(n) * w.g.cfg.IssueCost
-	occDone := w.g.smIssue[w.sm].ReserveDuration(latency / sim.Duration(share))
-	target := w.p.Now().Add(latency)
+	occDone := w.g.smIssue[w.sm].ReserveDurationAt(now, latency/sim.Duration(share))
+	target := now.Add(latency)
 	if occDone > target {
 		target = occDone
 	}
-	w.p.SleepUntil(target)
+	if local {
+		w.sleep(target)
+	} else {
+		w.p.SleepUntil(target)
+	}
 }
 
 // Exec executes n dependent ALU/control instructions.
-func (w *Warp) Exec(n int) { w.issue(n) }
+func (w *Warp) Exec(n int) { w.issue(n, true) }
 
 // SyncWarp is a warp-level barrier; with lockstep lanes it costs one
 // instruction.
-func (w *Warp) SyncWarp() { w.issue(1) }
+func (w *Warp) SyncWarp() { w.issue(1, true) }
 
 // acquirePCIe claims one of the GPU's outstanding-PCIe-operation slots
 // (none to claim when unlimited); releasePCIe returns it.
@@ -92,7 +106,7 @@ func sectors(n int) uint64 {
 
 // ldGlobal performs a coalesced warp load of n contiguous bytes.
 func (w *Warp) ldGlobal(addr memspace.Addr, buf []byte) {
-	lat := w.ldProbe(addr, len(buf))
+	lat := w.ldProbe(addr, len(buf), false)
 	// Snapshot the data at probe time: a hit returns the cached epoch's
 	// value even if a DMA write lands during the access latency. (The
 	// write invalidates the sector, so the next access misses and reads
@@ -106,10 +120,10 @@ func (w *Warp) ldGlobal(addr memspace.Addr, buf []byte) {
 // ldProbe issues a coalesced load of n bytes at addr, probes its L2
 // sectors and returns the load's latency; the caller reads the data
 // (the probe-time snapshot) and then sleeps that long.
-func (w *Warp) ldProbe(addr memspace.Addr, n int) sim.Duration {
+func (w *Warp) ldProbe(addr memspace.Addr, n int, local bool) sim.Duration {
 	w.g.ctr.MemAccesses++
 	w.g.ctr.L2ReadRequests += sectors(n)
-	w.issue(1)
+	w.issue(1, local)
 	hit := true
 	base := uint64(addr) &^ 31
 	end := uint64(addr) + uint64(n)
@@ -131,7 +145,7 @@ func (w *Warp) ldProbe(addr memspace.Addr, n int) sim.Duration {
 // stGlobal performs a coalesced warp store of n contiguous bytes
 // (write-through functionally; fire-and-forget timing beyond issue).
 func (w *Warp) stGlobal(addr memspace.Addr, data []byte) {
-	w.stIssue(addr, len(data))
+	w.stIssue(addr, len(data), false)
 	if err := w.g.f.Space().Write(addr, data); err != nil {
 		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
 	}
@@ -139,10 +153,10 @@ func (w *Warp) stGlobal(addr memspace.Addr, data []byte) {
 
 // stIssue issues a coalesced store of n bytes at addr and marks its L2
 // sectors written; the caller then writes the data.
-func (w *Warp) stIssue(addr memspace.Addr, n int) {
+func (w *Warp) stIssue(addr memspace.Addr, n int, local bool) {
 	w.g.ctr.MemAccesses++
 	w.g.ctr.L2WriteRequests += sectors(n)
-	w.issue(1)
+	w.issue(1, local)
 	base := uint64(addr) &^ 31
 	end := uint64(addr) + uint64(n)
 	for s := base; s < end; s += 32 {
@@ -156,9 +170,9 @@ func (w *Warp) stIssue(addr memspace.Addr, n int) {
 func (w *Warp) LdGlobalU64(addr memspace.Addr) uint64 {
 	w.mustDevice(addr, "LdGlobalU64")
 	w.g.ctr.Globmem64Reads++
-	lat := w.ldProbe(addr, 8)
+	lat := w.ldProbe(addr, 8, true)
 	v := w.ldWord(addr)
-	w.p.Sleep(lat)
+	w.sleep(w.now().Add(lat))
 	return v
 }
 
@@ -168,29 +182,39 @@ func (w *Warp) LdGlobalU64(addr memspace.Addr) uint64 {
 func (w *Warp) StGlobalU64(addr memspace.Addr, v uint64) {
 	w.mustDevice(addr, "StGlobalU64")
 	w.g.ctr.Globmem64Writes++
-	w.stIssue(addr, 8)
+	w.stIssue(addr, 8, true)
 	w.stWord(addr, v)
 }
 
 // ldWord and stWord are the functional (zero-time) word accesses of
-// device memory.
+// device memory. A running burst sees its own buffered stores, and
+// buffers its stores until the replay reaches them.
+//
+//putget:hot
 func (w *Warp) ldWord(addr memspace.Addr) uint64 {
 	v, err := w.g.f.Space().ReadU64(addr)
 	if err != nil {
 		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
 	}
+	if ra := &w.g.ra; ra.open {
+		v = ra.forward(addr, v)
+	}
 	return v
 }
 
+//putget:hot
 func (w *Warp) stWord(addr memspace.Addr, v uint64) {
-	if err := w.g.f.Space().WriteU64(addr, v); err != nil {
-		panic(fmt.Sprintf("gpusim: %s: %v", w.g.cfg.Name, err))
+	if ra := &w.g.ra; ra.open {
+		ra.store(addr, v)
+		return
 	}
+	w.g.writeWord(addr, v)
 }
 
 // LdGlobalU64Coalesced loads Lanes consecutive 64-bit words starting at
 // addr as one warp instruction (each lane one word).
 func (w *Warp) LdGlobalU64Coalesced(addr memspace.Addr) []uint64 {
+	w.sync()
 	w.mustDevice(addr, "LdGlobalU64Coalesced")
 	w.g.ctr.Globmem64Reads += uint64(w.Lanes)
 	buf := make([]byte, 8*w.Lanes)
@@ -205,6 +229,7 @@ func (w *Warp) LdGlobalU64Coalesced(addr memspace.Addr) []uint64 {
 // StGlobalU64Coalesced stores vals (one per lane, len ≤ Lanes) to
 // consecutive words starting at addr as one warp instruction.
 func (w *Warp) StGlobalU64Coalesced(addr memspace.Addr, vals []uint64) {
+	w.sync()
 	w.mustDevice(addr, "StGlobalU64Coalesced")
 	if len(vals) > w.Lanes {
 		panic("gpusim: more values than lanes")
@@ -220,6 +245,7 @@ func (w *Warp) StGlobalU64Coalesced(addr memspace.Addr, vals []uint64) {
 // FillGlobal writes n bytes of payload into device memory, modelling a
 // coalesced warp copy loop (used by examples to produce data in-kernel).
 func (w *Warp) FillGlobal(addr memspace.Addr, data []byte) {
+	w.sync()
 	w.mustDevice(addr, "FillGlobal")
 	per := 8 * w.Lanes
 	for off := 0; off < len(data); off += per {
@@ -264,13 +290,14 @@ func (w *Warp) LdSysBytes(addr memspace.Addr, buf []byte) {
 //
 //putget:hot
 func (w *Warp) ldSys(addr memspace.Addr, buf []byte, op string) {
+	w.sync()
 	w.mustNotDevice(addr, op)
 	n := sectors(len(buf))
 	w.g.ctr.MemAccesses++
 	w.g.ctr.SysmemReads32B += n
 	w.g.ctr.L2ReadRequests += n
 	w.g.ctr.L2ReadMisses += n
-	w.issue(1)
+	w.issue(1, false)
 	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
 	w.g.f.Read(w.p, w.g.ep, addr, buf)
@@ -307,6 +334,7 @@ func (w *Warp) StSysCoalesced(addr memspace.Addr, data []byte) {
 //
 //putget:hot
 func (w *Warp) stSys(addr memspace.Addr, data []byte, op string) {
+	w.sync()
 	w.mustNotDevice(addr, op)
 	if len(data) > 8*w.Lanes {
 		panic("gpusim: " + op + " wider than warp")
@@ -315,7 +343,7 @@ func (w *Warp) stSys(addr memspace.Addr, data []byte, op string) {
 	w.g.ctr.MemAccesses++
 	w.g.ctr.SysmemWrites32B += n
 	w.g.ctr.L2WriteRequests += n
-	w.issue(1)
+	w.issue(1, false)
 	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
 	w.g.f.PostedWrite(w.g.ep, addr, data)
@@ -325,7 +353,8 @@ func (w *Warp) stSys(addr memspace.Addr, data []byte, op string) {
 // ThreadfenceSystem orders this warp's prior stores against all observers
 // (__threadfence_system): it blocks until posted writes have drained.
 func (w *Warp) ThreadfenceSystem() {
-	w.issue(1)
+	w.sync()
+	w.issue(1, false)
 	w.g.f.FlushWrites(w.p, w.g.ep)
 }
 
@@ -373,12 +402,14 @@ func (w *Warp) PollGlobalU64(addr memspace.Addr, want uint64) uint64 {
 // is what a kernel that must not spin forever actually compiles to.
 func (w *Warp) PollGlobalU64MaskedTimeout(addr memspace.Addr, want, mask uint64, timeout sim.Duration) (uint64, bool) {
 	w.mustDevice(addr, "PollGlobalU64MaskedTimeout")
-	return w.poll(addr, want, mask, true, w.p.Now().Add(timeout))
+	return w.poll(addr, want, mask, true, w.now().Add(timeout))
 }
 
 // poll is PollGlobalU64Masked and, when bounded, its deadline form. A
 // bounded poll returns false from the first failed probe at or past
-// deadline, or when the deadline falls within one probe of a park.
+// deadline, or when the deadline falls within one probe of a park. Its
+// probes are local ops; it syncs before it reads the inbound epoch and
+// before it stalls or parks.
 func (w *Warp) poll(addr memspace.Addr, want, mask uint64, bounded bool, deadline sim.Time) (uint64, bool) {
 	var span sim.SpanID
 	if w.g.e.Observing() {
@@ -386,6 +417,7 @@ func (w *Warp) poll(addr memspace.Addr, want, mask uint64, bounded bool, deadlin
 	}
 	probe := 5*w.g.cfg.IssueCost + w.g.cfg.L2HitLatency + w.g.cfg.PollLoopStall
 	for {
+		w.sync()
 		epoch := w.g.inboundEpoch
 		v := w.LdGlobalU64(addr)
 		w.Exec(4)
@@ -393,10 +425,11 @@ func (w *Warp) poll(addr memspace.Addr, want, mask uint64, bounded bool, deadlin
 			w.g.e.SpanClose(span)
 			return v, true
 		}
-		if bounded && w.p.Now() >= deadline {
+		if bounded && w.now() >= deadline {
 			w.g.e.SpanClose(span)
 			return v, false
 		}
+		w.sync()
 		w.p.Sleep(w.g.cfg.PollLoopStall)
 		if w.g.inboundEpoch != epoch {
 			// A write landed while we were probing; re-probe immediately.
@@ -429,6 +462,7 @@ func (w *Warp) poll(addr memspace.Addr, want, mask uint64, bounded bool, deadlin
 // LdGlobalBytes reads n contiguous bytes from device memory as one
 // coalesced access.
 func (w *Warp) LdGlobalBytes(addr memspace.Addr, buf []byte) {
+	w.sync()
 	w.mustDevice(addr, "LdGlobalBytes")
 	w.g.ctr.Globmem64Reads += uint64((len(buf) + 7) / 8)
 	w.ldGlobal(addr, buf)
@@ -438,6 +472,7 @@ func (w *Warp) LdGlobalBytes(addr memspace.Addr, buf []byte) {
 // word. Atomics execute at the L2 (they bypass the SM caches), so the
 // cost is one instruction plus an L2 round trip regardless of hit state.
 func (w *Warp) AtomicAddGlobalU64(addr memspace.Addr, delta uint64) uint64 {
+	w.sync()
 	w.mustDevice(addr, "AtomicAddGlobalU64")
 	w.g.ctr.MemAccesses++
 	w.g.ctr.Globmem64Reads++
@@ -445,7 +480,7 @@ func (w *Warp) AtomicAddGlobalU64(addr memspace.Addr, delta uint64) uint64 {
 	w.g.ctr.L2ReadRequests++
 	w.g.ctr.L2WriteRequests++
 	w.g.l2.Access(uint64(addr), true)
-	w.issue(1)
+	w.issue(1, false)
 	old := w.ldWord(addr)
 	w.stWord(addr, old+delta)
 	// The L2 atomic unit serializes same-address atomics; approximate
@@ -457,12 +492,13 @@ func (w *Warp) AtomicAddGlobalU64(addr memspace.Addr, delta uint64) uint64 {
 // CASGlobalU64 performs an atomic compare-and-swap on a device-memory
 // word, returning the previous value.
 func (w *Warp) CASGlobalU64(addr memspace.Addr, expect, desired uint64) uint64 {
+	w.sync()
 	w.mustDevice(addr, "CASGlobalU64")
 	w.g.ctr.MemAccesses++
 	w.g.ctr.Globmem64Reads++
 	w.g.ctr.L2ReadRequests++
 	w.g.l2.Access(uint64(addr), true)
-	w.issue(1)
+	w.issue(1, false)
 	old := w.ldWord(addr)
 	if old == expect {
 		w.g.ctr.Globmem64Writes++

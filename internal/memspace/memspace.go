@@ -37,8 +37,9 @@ func (r Region) Overlaps(o Region) bool {
 // RAM pages are 4 KiB, held in a two-level table: one pointer per 64 KiB
 // chunk, each chunk a block of 16 lazily allocated pages. Small pages keep
 // a run's scattered rings, flags and buffers from materializing 64 KiB
-// each; the chunk level keeps the table NewRAM allocates as small as one
-// pointer per 64 KiB of configured capacity.
+// each; the chunk table itself grows on first touch, only as far as the
+// highest chunk written, so a RAM that is never written costs nothing
+// beyond its header.
 const (
 	ramPageShift  = 12
 	ramPageSize   = 1 << ramPageShift
@@ -60,14 +61,12 @@ type (
 type RAM struct {
 	name   string
 	size   uint64
-	chunks []*ramChunk
+	chunks []*ramChunk // up to the highest chunk written so far
 }
 
 // NewRAM creates a RAM device of the given size. No page storage is
 // allocated until the first write.
-func NewRAM(name string, size uint64) *RAM {
-	return &RAM{name: name, size: size, chunks: make([]*ramChunk, (size+1<<ramChunkShift-1)>>ramChunkShift)}
-}
+func NewRAM(name string, size uint64) *RAM { return &RAM{name: name, size: size} }
 
 // Name identifies the device in errors.
 func (r *RAM) Name() string { return r.name }
@@ -77,19 +76,25 @@ func (r *RAM) Size() uint64 { return r.size }
 
 // page returns the page holding off, or nil when it was never written.
 func (r *RAM) page(off uint64) *ramPage {
-	if c := r.chunks[off>>ramChunkShift]; c != nil {
-		return c[off>>ramPageShift&(ramChunkPages-1)]
+	if i := off >> ramChunkShift; i < uint64(len(r.chunks)) {
+		if c := r.chunks[i]; c != nil {
+			return c[off>>ramPageShift&(ramChunkPages-1)]
+		}
 	}
 	return nil
 }
 
 // writablePage returns the page holding off, materializing it (and its
-// chunk) on first touch.
+// chunk, and the table up to it) on first touch.
 func (r *RAM) writablePage(off uint64) *ramPage {
-	c := r.chunks[off>>ramChunkShift]
+	i := off >> ramChunkShift
+	if i >= uint64(len(r.chunks)) {
+		r.chunks = append(r.chunks, make([]*ramChunk, i+1-uint64(len(r.chunks)))...)
+	}
+	c := r.chunks[i]
 	if c == nil {
 		c = new(ramChunk)
-		r.chunks[off>>ramChunkShift] = c
+		r.chunks[i] = c
 	}
 	pg := &c[off>>ramPageShift&(ramChunkPages-1)]
 	if *pg == nil {

@@ -371,3 +371,28 @@ func FuzzRAM(f *testing.F) {
 		}
 	})
 }
+
+var ramSink *RAM
+
+// TestNewRAMBuildsNoTable: a RAM costs its header until written, however
+// large it is configured, and its chunk table grows only as far as the
+// highest chunk written.
+func TestNewRAMBuildsNoTable(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { ramSink = NewRAM("r", 1<<30) }); got != 1 {
+		t.Errorf("NewRAM(1 GiB): %v allocs, want 1", got)
+	}
+	r := NewRAM("r", 1<<30)
+	if err := r.WriteAt(3<<ramChunkShift+5, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.chunks) != 4 {
+		t.Errorf("chunk table holds %d chunks after a write to chunk 3, want 4", len(r.chunks))
+	}
+	var b [2]byte
+	if err := r.ReadAt(3<<ramChunkShift+4, b[:]); err != nil || b != [2]byte{0, 7} {
+		t.Errorf("read back %v, %v", b, err)
+	}
+	if err := r.ReadAt(1<<30-2, b[:]); err != nil || b != [2]byte{} {
+		t.Errorf("read past the table %v, %v; want zeros", b, err)
+	}
+}

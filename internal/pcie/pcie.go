@@ -81,6 +81,10 @@ type Endpoint struct {
 
 	lastDeliver sim.Time // latest scheduled delivery of a posted write from here
 
+	// inbound lists the posted writes in flight to this endpoint's RAM
+	// (see InboundHorizon).
+	inbound []*writeOp
+
 	// OnInboundWrite, if set, runs (in engine context) after an inbound
 	// DMA/MMIO write into this endpoint's RAM region lands. The GPU uses
 	// it to invalidate L2 lines so device-memory polling observes NIC
@@ -136,6 +140,8 @@ type Fabric struct {
 
 	readFree  []*readOp  // idle read ops (see ReadFunc)
 	writeFree []*writeOp // idle write ops (see PostedWrite)
+
+	minOneWay sim.Duration // smallest OneWay among the endpoints
 }
 
 // SetFaults installs a fault injector on the bulk DMA path. Drop and
@@ -183,6 +189,9 @@ func (f *Fabric) AddEndpoint(name string, cfg EndpointConfig) *Endpoint {
 		f:      f,
 		cfg:    cfg,
 		egress: sim.NewServer(f.e, cfg.EgressRate),
+	}
+	if len(f.eps) == 0 || cfg.OneWay < f.minOneWay {
+		f.minOneWay = cfg.OneWay
 	}
 	f.eps = append(f.eps, ep)
 	return ep
@@ -256,7 +265,7 @@ func (f *Fabric) PostedWrite(src *Endpoint, addr memspace.Addr, data []byte) sim
 		f.e.SpanCloseAt(id, deliver)
 	}
 	w.o, w.addr, w.posted = o, addr, f.e.Now()
-	w.At(deliver, (*writeOp).deliver)
+	w.launch(deliver)
 	return deliver
 }
 
@@ -272,7 +281,9 @@ type writeOp struct {
 	data   []byte
 	pl     *sim.Payload // released right after delivery; nil for none
 	posted sim.Time
-	buf    []byte // PostedWrite's copy of its bytes
+	at     sim.Time // delivery
+	slot   int      // index in the destination's inbound list (RAM writes)
+	buf    []byte   // PostedWrite's copy of its bytes
 }
 
 func (f *Fabric) newWriteOp() *writeOp {
@@ -286,11 +297,31 @@ func (f *Fabric) newWriteOp() *writeOp {
 	return w
 }
 
+// launch schedules the write's delivery at t and, for a write into RAM,
+// lists it as in flight to the destination.
+//
+//putget:hot
+func (w *writeOp) launch(t sim.Time) {
+	w.at = t
+	if w.o.kind == ownRAM {
+		ep := w.o.ep
+		w.slot = len(ep.inbound)
+		ep.inbound = append(ep.inbound, w)
+	}
+	w.At(t, (*writeOp).deliver)
+}
+
 // deliver lands the write, releases its payload and recycles the op.
 //
 //putget:hot
 func (w *writeOp) deliver() {
 	f := w.f
+	if w.o.kind == ownRAM {
+		in := w.o.ep.inbound
+		last := in[len(in)-1]
+		in[w.slot], last.slot = last, w.slot
+		w.o.ep.inbound = in[:len(in)-1]
+	}
 	f.deliverWrite(w.o, w.addr, w.data, w.posted)
 	w.pl.Release()
 	*w = writeOp{Step: w.Step, f: f, buf: w.buf}
@@ -312,6 +343,22 @@ func (f *Fabric) deliverWrite(o *ownerEntry, addr memspace.Addr, data []byte, po
 			o.ep.OnInboundWrite(addr, len(data), posted)
 		}
 	}
+}
+
+// InboundHorizon returns the earliest instant at which a write that has
+// not landed yet can land in ep's RAM: the first delivery among the
+// posted writes in flight to it, and for a write posted from now on one
+// flight from the nearest endpoint. Nothing else changes ep's memory
+// through the fabric, so ep's owner may apply effects of its own early
+// up to it (see gpusim's warp run-ahead).
+func (f *Fabric) InboundHorizon(ep *Endpoint) sim.Time {
+	h := f.e.Now().Add(f.minOneWay + ep.cfg.OneWay)
+	for _, w := range ep.inbound {
+		if w.at < h {
+			h = w.at
+		}
+	}
+	return h
 }
 
 // FlushWrites blocks p until every posted write previously issued by src
@@ -492,6 +539,6 @@ func (f *Fabric) WritePayloadReserve(src *Endpoint, addr memspace.Addr, data []b
 	src.lastDeliver = deliver
 	w := f.newWriteOp()
 	w.o, w.addr, w.data, w.pl, w.posted = o, addr, data, pl, f.e.Now()
-	w.At(deliver, (*writeOp).deliver)
+	w.launch(deliver)
 	return sent, deliver
 }

@@ -499,3 +499,35 @@ func TestWritesDoNotAllocate(t *testing.T) {
 		t.Errorf("Read/stack word: %v allocs/op, want 0", got)
 	}
 }
+
+// TestInboundHorizon lists the writes in flight to a RAM endpoint: the
+// horizon is the first landing among them, or one flight from the
+// nearest endpoint if that is sooner (the host and CPU, 100 ns, plus the GPU's 350 ns).
+// Writes to other endpoints and to MMIO do not count, and a landed write
+// leaves the list.
+func TestInboundHorizon(t *testing.T) {
+	tb := newTestbed(t)
+	idle := func() sim.Time { return tb.e.Now().Add(450 * sim.Nanosecond) }
+	if h := tb.f.InboundHorizon(tb.gpuEP); h != idle() {
+		t.Fatalf("idle horizon %v, want %v", h, idle())
+	}
+	tb.f.PostedWrite(tb.cpuEP, 0x100, []byte{1})       // host RAM
+	tb.f.PostedWrite(tb.cpuEP, tb.bar.Base, []byte{1}) // MMIO
+	late := tb.f.PostedWrite(tb.nicEP, tb.devRAM.Base, make([]byte, 4096))
+	early := tb.f.PostedWrite(tb.cpuEP, tb.devRAM.Base+64, []byte{2})
+	if early >= late {
+		t.Fatalf("test wants the CPU's word (%v) to land before the NIC's page (%v)", early, late)
+	}
+	tb.e.RunUntil(sim.Time(100 * sim.Nanosecond)) // a write posted now lands after both
+	if h := tb.f.InboundHorizon(tb.gpuEP); h != early {
+		t.Fatalf("horizon %v, want the first landing %v", h, early)
+	}
+	tb.e.RunUntil(late - sim.Time(100*sim.Nanosecond))
+	if h := tb.f.InboundHorizon(tb.gpuEP); h != late {
+		t.Fatalf("horizon after the first landing %v, want %v", h, late)
+	}
+	tb.e.Run()
+	if h := tb.f.InboundHorizon(tb.gpuEP); h != idle() {
+		t.Fatalf("horizon with nothing in flight %v, want %v", h, idle())
+	}
+}

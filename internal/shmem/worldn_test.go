@@ -385,3 +385,49 @@ func TestUnconnectedRanksPanicWithGuidance(t *testing.T) {
 	// graph materializes at first Run), so this must panic.
 	w.PE(0).ep(3)
 }
+
+// TestAllReduceEngineCounts pins the engine work of a 16-rank ring and
+// rdouble allreduce of 16 words on an EXTOLL fat-tree and an IB torus.
+// The executed events are exact: warp run-ahead replays every wakeup as
+// an event at its (at, seq), so they are the counts measured before it
+// landed. The handoff ceilings are 1.15x the counts with run-ahead; the
+// warps switched 14,616, 8,400, 23,761 and 10,047 times without it.
+func TestAllReduceEngineCounts(t *testing.T) {
+	for _, tc := range []struct {
+		k                transport.Kind
+		kind             topo.Kind
+		alg              AllReduceAlg
+		events, handoffs uint64
+	}{
+		{transport.KindExtoll, topo.FatTree, Ring, 30624, 10488},
+		{transport.KindExtoll, topo.FatTree, RecursiveDoubling, 12600, 3312},
+		{transport.KindIB, topo.Torus3D, Ring, 38059, 10203},
+		{transport.KindIB, topo.Torus3D, RecursiveDoubling, 12777, 2668},
+	} {
+		const n = 16
+		w := newTestWorldN(tc.k, topo.Spec{Kind: tc.kind}, n)
+		vec := w.Malloc(8 * n)
+		plan := w.NewAllReduce(tc.alg, vec, n)
+		for r := 0; r < n; r++ {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = uint64(1000*r + i)
+			}
+			hostWriteU64s(t, w.PE(r), vec, vals)
+		}
+		w.Run(func(pe *PE, warp *gpusim.Warp) { plan.Run(pe, warp) })
+		for i, v := range hostReadU64s(t, w.PE(n-1), vec, n) {
+			if want := uint64(1000*n*(n-1)/2 + n*i); v != want {
+				t.Fatalf("%v %v %v: element %d = %d, want %d", tc.k, tc.kind, tc.alg, i, v, want)
+			}
+		}
+		e := w.CL.E
+		if e.Executed() != tc.events {
+			t.Errorf("%v %v %v: %d events executed, want %d", tc.k, tc.kind, tc.alg, e.Executed(), tc.events)
+		}
+		if limit := tc.handoffs * 115 / 100; e.Handoffs() > limit {
+			t.Errorf("%v %v %v: %d handoffs, ceiling %d", tc.k, tc.kind, tc.alg, e.Handoffs(), limit)
+		}
+		w.Shutdown()
+	}
+}

@@ -284,6 +284,38 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
+// WakeInPlace runs a wakeup at t in place when it would be the loop's
+// next event — t is within the run's bound, no Stop is pending, and
+// nothing is queued at or before t — and reports whether it did. The
+// clock, the sequence number and the executed count advance exactly as
+// if the loop had popped an event at t. Proc.SleepUntil and callbacks
+// that replay a process's wakeups share this one rule.
+//
+//putget:hot
+func (e *Engine) WakeInPlace(t Time) bool {
+	if e.blocked(t) {
+		return false
+	}
+	e.seq++
+	e.executed++
+	e.now = t
+	return true
+}
+
+// blocked reports whether a wakeup at t must wait for the loop: t is
+// past the run's bound, a Stop is pending, or an event is queued at or
+// before t. It stays out of line so that WakeInPlace inlines.
+//
+//go:noinline
+//putget:hot
+func (e *Engine) blocked(t Time) bool {
+	return t > e.bound || e.stopped || e.q.n > 0 && e.q.nodes[e.q.locate(e.now)].at <= t
+}
+
+// Bound returns the time limit of the current Run/RunUntil: events
+// after it do not run before the call returns.
+func (e *Engine) Bound() Time { return e.bound }
+
 // Stop makes the engine stop executing events: a running Run/RunUntil
 // returns after the current event completes, and a Stop issued while the
 // engine is idle makes the next Run/RunUntil return before executing

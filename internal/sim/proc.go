@@ -145,10 +145,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: %s sleeping until %v which is before now %v", p.name, t, e.now))
 	}
-	if t <= e.bound && !e.stopped && (e.q.n == 0 || e.q.nodes[e.q.locate(e.now)].at > t) {
-		e.seq++
-		e.executed++
-		e.now = t
+	if e.WakeInPlace(t) {
 		return
 	}
 	e.At(t, p.resumeF)

@@ -41,8 +41,13 @@ func (s *Server) Reserve(n int) Time {
 }
 
 // ReserveDuration books d of service time and returns the completion time.
-func (s *Server) ReserveDuration(d Duration) Time {
-	start := s.e.now
+func (s *Server) ReserveDuration(d Duration) Time { return s.ReserveDurationAt(s.e.now, d) }
+
+// ReserveDurationAt books d of service time starting no earlier than at
+// and returns the completion time. A warp running ahead of the engine
+// books its SM's issue port at its own clock (see gpusim's run-ahead).
+func (s *Server) ReserveDurationAt(at Time, d Duration) Time {
+	start := at
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
