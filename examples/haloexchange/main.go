@@ -114,7 +114,9 @@ func run(n, iters int, hostAssisted bool) sim.Duration {
 				w.StGlobalU64(r.out+stamp, uint64(it))
 				if hostAssisted {
 					core.DevRequestAssist(w, r.assist, uint64(it))
-					core.DevAwaitAssistAck(w, r.assist, uint64(it))
+					if !core.DevAwaitAssistAckTimeout(w, r.assist, uint64(it), 10*sim.Millisecond) {
+						panic("haloexchange: host assist acknowledgement timed out")
+					}
 				} else {
 					r.rma.DevPut(w, 0, r.outN, r.peerIn, int(haloBytes), extoll.FlagReqNotif)
 					if _, ok := r.rma.DevWaitNotifTimeout(w, 0, extoll.ClassRequester, 10*sim.Millisecond); !ok {

@@ -21,6 +21,7 @@ var unboundedWaits = map[string]bool{
 	"DevWaitNotifValue": true,
 	"DevPollCQ":         true,
 	"HostPollCQ":        true,
+	"DevAwaitAssistAck": true,
 }
 
 // waitNames returns the unbounded-wait name set for this pass: the seed

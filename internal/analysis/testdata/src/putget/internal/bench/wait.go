@@ -4,6 +4,8 @@
 // wait-named definition — stay clean.
 package bench
 
+import "putget/internal/core"
+
 type endpoint struct{}
 
 func (endpoint) DevWaitComplete()                       {}
@@ -24,6 +26,11 @@ func notifValue(ep endpoint) uint64 {
 
 func boundedLoop(ep endpoint) bool {
 	return ep.DevWaitCompleteTimeout(10)
+}
+
+func assistAck(seq uint64) bool {
+	core.DevAwaitAssistAck(seq) // want `unbounded blocking wait DevAwaitAssistAck outside a test: use the bounded DevAwaitAssistAckTimeout variant`
+	return core.DevAwaitAssistAckTimeout(seq+1, 10)
 }
 
 func allowedWait(ep endpoint) {

@@ -406,6 +406,38 @@ func TestHostSpinEventCounts(t *testing.T) {
 	}
 }
 
+// TestMessageRateProcCounts pins executed events exactly and caps
+// handoffs on the 32-pair message-rate cells whose warps poll: the
+// GPU-driven blocks cell on both fabrics and the assisted cell on both,
+// five messages per pair. The ceilings are 1.15x the counts with
+// callback-form warp spins; with the explicit probe loops the cells
+// switched 5,624, 18,169, 10,346 and 10,981 times. Each spawns one warp
+// per pair, and the assisted cell one CPU thread besides.
+func TestMessageRateProcCounts(t *testing.T) {
+	for _, tc := range []struct {
+		kind                      transport.Kind
+		method                    RateMethod
+		events, spawned, handoffs uint64
+	}{
+		{transport.KindExtoll, RateBlocks, 10281, 32, 4028},
+		{transport.KindIB, RateBlocks, 20628, 32, 4257},
+		{transport.KindExtoll, RateAssisted, 21029, 33, 2382},
+		{transport.KindIB, RateAssisted, 22259, 33, 2250},
+	} {
+		r := MessageRate(cluster.Default(), tc.kind, tc.method, 32, 5)
+		name := fmt.Sprintf("%v %v", tc.kind, tc.method)
+		if r.Events != tc.events {
+			t.Errorf("%s: %d events executed, want %d", name, r.Events, tc.events)
+		}
+		if r.Spawned != tc.spawned {
+			t.Errorf("%s: %d procs spawned, want %d", name, r.Spawned, tc.spawned)
+		}
+		if limit := tc.handoffs * 115 / 100; r.Handoffs > limit {
+			t.Errorf("%s: %d handoffs, ceiling %d", name, r.Handoffs, limit)
+		}
+	}
+}
+
 // TestEngineProcCounts pins process spawns and caps handoffs, the
 // switches into a process coroutine (sim.Engine.Spawned/Handoffs),
 // counts that do not depend on the machine, on a CPU-driven and a
@@ -417,9 +449,10 @@ func TestHostSpinEventCounts(t *testing.T) {
 // warp and CPU-thread wakeups that another event precedes; a sleep whose
 // wakeup is the next event wakes in place and does not count. The
 // ceilings are 1.15x the measured counts; the GPU-driven ones are those
-// with warp run-ahead (129,092 and 3,125 before it). Executed events are
-// pinned exactly: hardware callbacks, in-place wakes and run-ahead
-// replays count and order every event as a queued wake event would.
+// with callback-form warp spins (127,013 and 2,604 with run-ahead alone,
+// 129,092 and 3,125 before it). Executed events are pinned exactly:
+// hardware callbacks, in-place wakes, run-ahead replays and spin stages
+// count and order every event as a queued wake event would.
 func TestEngineProcCounts(t *testing.T) {
 	lossy := func(p *cluster.Params) {
 		p.FaultInject, p.FaultSeed, p.FaultDropRate = true, 3, 0.02
@@ -432,9 +465,9 @@ func TestEngineProcCounts(t *testing.T) {
 		handoffs, events uint64
 	}{
 		{transport.KindExtoll, ExtHostControlled, 64 << 10, nil, 1043, 14568},
-		{transport.KindExtoll, ExtDirect, 64 << 10, nil, 127013, 627265},
+		{transport.KindExtoll, ExtDirect, 64 << 10, nil, 7278, 627265},
 		{transport.KindIB, IBHostControlled, 64 << 10, nil, 2083, 13008},
-		{transport.KindIB, IBBufOnGPU, 64 << 10, nil, 2604, 696292},
+		{transport.KindIB, IBBufOnGPU, 64 << 10, nil, 1564, 696292},
 		{transport.KindExtoll, ExtHostControlled, 1 << 10, lossy, 1060, 16748},
 		{transport.KindIB, IBHostControlled, 1 << 10, lossy, 2083, 15583},
 	} {

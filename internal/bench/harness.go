@@ -368,6 +368,7 @@ func Stream(p cluster.Params, kind transport.Kind, mode ControlMode, size, messa
 			tStart = w.Now()
 			for i := 1; i <= messages; i++ {
 				core.DevRequestAssist(w, flagsA, uint64(i))
+				//putget:allow boundedwait -- the a.cpu.assist thread below acks every request it serves: the fault-free rig completes each wait by construction
 				core.DevAwaitAssistAck(w, flagsA, uint64(i))
 			}
 		})
@@ -513,6 +514,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 			starts[b] = w.Now()
 			for m := 1; m <= perPair; m++ {
 				core.DevRequestAssist(w, aflags[b], uint64(m))
+				//putget:allow boundedwait -- the one assist CPU thread below serves and acks every pair's requests until all are done
 				core.DevAwaitAssistAck(w, aflags[b], uint64(m))
 			}
 			ends[b] = w.Now()
@@ -598,5 +600,7 @@ func MessageRate(p cluster.Params, kind transport.Kind, method RateMethod, pairs
 		Elapsed:    elapsed,
 		MsgsPerSec: float64(total) / elapsed.Seconds(),
 		Events:     r.tb.E.Executed(),
+		Spawned:    r.tb.E.Spawned(),
+		Handoffs:   r.tb.E.Handoffs(),
 	}
 }

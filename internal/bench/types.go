@@ -121,4 +121,7 @@ type RateResult struct {
 	MsgsPerSec float64
 	// Events is the simulator's executed-event count for the whole cell.
 	Events uint64
+	// Spawned and Handoffs are the cell's process spawns and switches
+	// into a process coroutine (sim.Engine.Spawned/Handoffs).
+	Spawned, Handoffs uint64
 }

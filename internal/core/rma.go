@@ -134,40 +134,50 @@ func (r *RMA) DevPutCollective(w *gpusim.Warp, port int, src, dst extoll.NLA, si
 	r.Node.E.SpanClose(id)
 }
 
+// notifQuery is the library overhead of one notification query: ring
+// arithmetic, bounds checks, call frames and type dispatch of the
+// notification API.
+const notifQuery = 28
+
+// notifValid is extoll.NotifValid as a spin predicate.
+func notifValid(w0, _ uint64) bool { return extoll.NotifValid(w0) }
+
 // DevTryConsumeNotif polls the (port, class) notification ring once. On a
 // valid entry it consumes it the way the paper describes: read the
 // 128-bit notification (2 loads), free it by zeroing (2 stores), and
 // advance the ring's read pointer in the queue structure (1 store).
 // Returns the notification's size field and true, or false if empty.
 func (r *RMA) DevTryConsumeNotif(w *gpusim.Warp, port, class int) (int, bool) {
-	size, _, ok := r.DevTryConsumeNotifValue(w, port, class)
-	return size, ok
+	w.Exec(notifQuery)
+	w0 := devLd64(w, r.notifSlot(port, class)) // host ring: PCIe read; device ring: L2 access
+	if !extoll.NotifValid(w0) {
+		return 0, false
+	}
+	r.devConsume(w, port, class)
+	return extoll.NotifSize(w0), true
 }
 
-// DevTryConsumeNotifValue is DevTryConsumeNotif but also returns the
-// notification's second word (the cookie — a fetch-add result, an NLA).
-func (r *RMA) DevTryConsumeNotifValue(w *gpusim.Warp, port, class int) (int, uint64, bool) {
-	w0, cookie, ok := r.devTryConsume(w, port, class)
+// devWait spins on the (port, class) ring, one DevTryConsumeNotif probe
+// and a loop branch per iteration, until a notification arrives or, when
+// bounded, the deadline passes; it consumes the notification and returns
+// its first word and cookie.
+func (r *RMA) devWait(w *gpusim.Warp, port, class int, bounded bool, deadline sim.Time) (uint64, uint64, bool) {
+	w0, ok := devSpin(w, r.notifSlot(port, class), notifQuery, notifValid, 0, bounded, deadline)
 	if !ok {
 		return 0, 0, false
 	}
-	return extoll.NotifSize(w0), cookie, true
+	return w0, r.devConsume(w, port, class), true
 }
 
-// devTryConsume is the raw single-probe consume: it returns the full
-// first notification word so callers can inspect the error and timeout
-// flags, with exactly the same cost model as DevTryConsumeNotifValue.
-func (r *RMA) devTryConsume(w *gpusim.Warp, port, class int) (uint64, uint64, bool) {
+// devConsume is the consume step after a device probe found the entry
+// at notifSlot valid, as the paper describes: read the second word of
+// the 128-bit notification, free it by zeroing (2 stores), and advance
+// the ring's read pointer in the queue structure (1 store). It returns
+// the second word (the cookie).
+func (r *RMA) devConsume(w *gpusim.Warp, port, class int) uint64 {
 	key := [2]int{port, class}
 	idx := r.rp[key]
 	entry := r.NIC.NotifEntryAddr(port, class, idx)
-	// Library overhead per query: ring arithmetic, bounds checks, call
-	// frames and type dispatch of the notification API.
-	w.Exec(28)
-	w0 := devLd64(w, entry) // host ring: PCIe read; device ring: L2 access
-	if !extoll.NotifValid(w0) {
-		return 0, 0, false
-	}
 	cookie := devLd64(w, entry+8) // second notification word
 	w.Exec(30)                    // decode type/size/payload fields
 	devSt64(w, entry, 0)          // free: reset to zero
@@ -179,34 +189,24 @@ func (r *RMA) devTryConsume(w *gpusim.Warp, port, class int) (uint64, uint64, bo
 		w.StSysU32(rp, uint32(idx+1)) // 32-bit read-pointer update
 	}
 	r.rp[key] = idx + 1
-	return w0, cookie, true
+	return cookie
 }
 
 // DevWaitNotifValue spins until a notification arrives and returns both
 // its size and its second word.
 func (r *RMA) DevWaitNotifValue(w *gpusim.Warp, port, class int) (int, uint64) {
 	id := r.span(w.GPU().Name(), "poll.notif", class)
-	for {
-		if size, cookie, ok := r.DevTryConsumeNotifValue(w, port, class); ok {
-			r.Node.E.SpanClose(id)
-			return size, cookie
-		}
-		w.Exec(2)
-	}
+	w0, cookie, _ := r.devWait(w, port, class, false, 0)
+	r.Node.E.SpanClose(id)
+	return extoll.NotifSize(w0), cookie
 }
 
 // DevWaitNotif spins on the ring until a notification arrives and
 // consumes it. Every probe is a system-memory read over PCIe — the
 // behaviour Table I charges against the "system memory" polling approach.
 func (r *RMA) DevWaitNotif(w *gpusim.Warp, port, class int) int {
-	id := r.span(w.GPU().Name(), "poll.notif", class)
-	for {
-		if size, ok := r.DevTryConsumeNotif(w, port, class); ok {
-			r.Node.E.SpanClose(id)
-			return size
-		}
-		w.Exec(2) // loop branch
-	}
+	size, _ := r.DevWaitNotifValue(w, port, class)
+	return size
 }
 
 // NotifResult describes a consumed notification for the bounded-wait
@@ -225,26 +225,20 @@ type NotifResult struct {
 // flags, which callers must check before trusting the payload.
 func (r *RMA) DevWaitNotifTimeout(w *gpusim.Warp, port, class int, timeout sim.Duration) (NotifResult, bool) {
 	id := r.span(w.GPU().Name(), "poll.notif", class)
-	deadline := w.Now().Add(timeout)
-	for {
-		if w0, _, ok := r.devTryConsume(w, port, class); ok {
-			r.Node.E.SpanClose(id)
-			return NotifResult{
-				Size: extoll.NotifSize(w0), Err: extoll.NotifErr(w0), Timeout: extoll.NotifTimeout(w0),
-			}, true
-		}
-		w.Exec(2)
-		if w.Now() >= deadline {
-			r.Node.E.SpanClose(id)
-			return NotifResult{}, false
-		}
+	w0, _, ok := r.devWait(w, port, class, true, w.Now().Add(timeout))
+	r.Node.E.SpanClose(id)
+	if !ok {
+		return NotifResult{}, false
 	}
+	return NotifResult{
+		Size: extoll.NotifSize(w0), Err: extoll.NotifErr(w0), Timeout: extoll.NotifTimeout(w0),
+	}, true
 }
 
 // HostWaitNotifTimeout is the CPU-side bounded wait.
 func (r *RMA) HostWaitNotifTimeout(p *sim.Proc, port, class int, timeout sim.Duration) (NotifResult, bool) {
 	id := r.span(r.Node.CPU.Name(), "poll.notif", class)
-	w0, ok := r.Node.CPU.SpinU64Until(p, r.hostNotifSlot(port, class), extoll.NotifValid, p.Now().Add(timeout))
+	w0, ok := r.Node.CPU.SpinU64Until(p, r.notifSlot(port, class), extoll.NotifValid, p.Now().Add(timeout))
 	if !ok {
 		r.Node.E.SpanClose(id)
 		return NotifResult{}, false
@@ -285,7 +279,7 @@ func (r *RMA) HostPutImm(p *sim.Proc, port int, value uint64, dst extoll.NLA, si
 func (r *RMA) HostFetchAdd(p *sim.Proc, port int, addend uint64, dst extoll.NLA) uint64 {
 	r.hostPost(p, port, extoll.WR{Cmd: extoll.CmdFetchAdd, Flags: extoll.FlagCompNotif,
 		Size: 8, SrcNLA: addend, DstNLA: uint64(dst)})
-	r.Node.CPU.SpinU64(p, r.hostNotifSlot(port, extoll.ClassCompleter), extoll.NotifValid)
+	r.Node.CPU.SpinU64(p, r.notifSlot(port, extoll.ClassCompleter), extoll.NotifValid)
 	return r.hostConsume(p, port, extoll.ClassCompleter)
 }
 
@@ -326,20 +320,20 @@ func (r *RMA) HostTryConsumeNotif(p *sim.Proc, port, class int) (int, bool) {
 
 // HostTryConsumeNotifValue is HostTryConsumeNotif with the cookie word.
 func (r *RMA) HostTryConsumeNotifValue(p *sim.Proc, port, class int) (int, uint64, bool) {
-	w0 := r.Node.CPU.ReadU64(p, r.hostNotifSlot(port, class))
+	w0 := r.Node.CPU.ReadU64(p, r.notifSlot(port, class))
 	if !extoll.NotifValid(w0) {
 		return 0, 0, false
 	}
 	return extoll.NotifSize(w0), r.hostConsume(p, port, class), true
 }
 
-// hostNotifSlot is the ring entry the next host-side consume probes.
-func (r *RMA) hostNotifSlot(port, class int) memspace.Addr {
+// notifSlot is the ring entry the next consume probes.
+func (r *RMA) notifSlot(port, class int) memspace.Addr {
 	return r.NIC.NotifEntryAddr(port, class, r.rp[[2]int{port, class}])
 }
 
 // hostConsume is the consume step after a host probe found the entry at
-// hostNotifSlot valid: it reads the cookie word, frees the entry and
+// notifSlot valid: it reads the cookie word, frees the entry and
 // advances the read pointer.
 func (r *RMA) hostConsume(p *sim.Proc, port, class int) uint64 {
 	cpu := r.Node.CPU
@@ -357,7 +351,7 @@ func (r *RMA) hostConsume(p *sim.Proc, port, class int) uint64 {
 // HostWaitNotif spins until a notification arrives and consumes it.
 func (r *RMA) HostWaitNotif(p *sim.Proc, port, class int) int {
 	id := r.span(r.Node.CPU.Name(), "poll.notif", class)
-	w0 := r.Node.CPU.SpinU64(p, r.hostNotifSlot(port, class), extoll.NotifValid)
+	w0 := r.Node.CPU.SpinU64(p, r.notifSlot(port, class), extoll.NotifValid)
 	r.hostConsume(p, port, class)
 	r.Node.E.SpanClose(id)
 	return extoll.NotifSize(w0)
@@ -387,12 +381,21 @@ func DevRequestAssist(w *gpusim.Warp, f AssistFlags, seq uint64) {
 	w.ThreadfenceSystem()
 }
 
-// DevAwaitAssistAck spins on the acknowledge word across PCIe.
+// DevAwaitAssistAck spins on the acknowledge word across PCIe until it
+// holds seq.
 func DevAwaitAssistAck(w *gpusim.Warp, f AssistFlags, seq uint64) {
-	for w.LdSysU64(f.Ack) != seq {
-		w.Exec(2)
-	}
+	devSpin(w, f.Ack, 0, equals, seq, false, 0)
 }
+
+// DevAwaitAssistAckTimeout is DevAwaitAssistAck bounded by timeout: it
+// reports false when the host has not acknowledged seq by then.
+func DevAwaitAssistAckTimeout(w *gpusim.Warp, f AssistFlags, seq uint64, timeout sim.Duration) bool {
+	_, ok := devSpin(w, f.Ack, 0, equals, seq, true, w.Now().Add(timeout))
+	return ok
+}
+
+// equals is the spin predicate of a word that must reach want.
+func equals(v, want uint64) bool { return v == want }
 
 // HostAwaitAssistReq blocks the CPU until the request word reaches seq.
 func HostAwaitAssistReq(p *sim.Proc, cpu *hostsim.CPU, f AssistFlags, seq uint64) {

@@ -94,6 +94,21 @@ func devLd64(w *gpusim.Warp, addr memspace.Addr) uint64 {
 	return w.LdSysU64(addr)
 }
 
+// loopBranch is the loop branch of a device-side spin.
+const loopBranch = 2
+
+// devSpin is the device-side spin loop every completion wait is: pre
+// instructions, a devLd64 probe of addr, and a loop branch, until
+// until(v, arg) holds or, when bounded, the deadline passes (see
+// gpusim.Warp.SpinU64). It returns the last probe's value and whether
+// until held.
+func devSpin(w *gpusim.Warp, addr memspace.Addr, pre int, until func(v, arg uint64) bool, arg uint64, bounded bool, deadline sim.Time) (uint64, bool) {
+	if bounded {
+		return w.SpinU64Until(addr, pre, loopBranch, until, arg, deadline)
+	}
+	return w.SpinU64(addr, pre, loopBranch, until, arg), true
+}
+
 // Instruction-cost model for the device-side verbs port. The constants
 // reproduce the paper's measurements: 442 instructions per ibv_post_send
 // and 283 per successful ibv_poll_cq (§V-B.3), dominated by little- to
@@ -201,11 +216,30 @@ func (v *Verbs) DevPostSendCollective(w *gpusim.Warp, qp *VQP, wqe ibsim.WQE) {
 // costs one queue-memory load; a successful one additionally pays CQE
 // conversion, QP lookup, consumption and the consumer-index update.
 func (v *Verbs) DevTryPollCQ(w *gpusim.Warp, cq *VCQ) (ibsim.CQE, bool) {
-	slot := cq.CQ.EntryAddr(cq.head)
 	w.Exec(pollProbe)
-	if !ibsim.CQEValidWord(devLd64(w, slot)) {
+	if !ibsim.CQEValidWord(devLd64(w, cq.CQ.EntryAddr(cq.head))) {
 		return ibsim.CQE{}, false
 	}
+	return v.devConsumeCQE(w, cq), true
+}
+
+// cqeValid is ibsim.CQEValidWord as a spin predicate.
+func cqeValid(first8, _ uint64) bool { return ibsim.CQEValidWord(first8) }
+
+// devPollCQ spins on the head of cq, one DevTryPollCQ probe and a loop
+// branch per iteration, until a completion arrives or, when bounded,
+// the deadline passes, and consumes the completion.
+func (v *Verbs) devPollCQ(w *gpusim.Warp, cq *VCQ, bounded bool, deadline sim.Time) (ibsim.CQE, bool) {
+	if _, ok := devSpin(w, cq.CQ.EntryAddr(cq.head), pollProbe, cqeValid, 0, bounded, deadline); !ok {
+		return ibsim.CQE{}, false
+	}
+	return v.devConsumeCQE(w, cq), true
+}
+
+// devConsumeCQE is the consume step after a device probe found the CQE
+// at the head of cq valid.
+func (v *Verbs) devConsumeCQE(w *gpusim.Warp, cq *VCQ) ibsim.CQE {
+	slot := cq.CQ.EntryAddr(cq.head)
 	// Read the remaining 24 bytes of the CQE — independent loads that
 	// pipeline into one round trip.
 	var rest [ibsim.CQEBytes - 8]byte
@@ -228,19 +262,15 @@ func (v *Verbs) DevTryPollCQ(w *gpusim.Warp, cq *VCQ) (ibsim.CQE, bool) {
 	w.Exec(pollCIUpdate)
 	devSt64(w, cq.CIDoc, uint64(cq.head+1))
 	cq.head++
-	return cqe, true
+	return cqe
 }
 
 // DevPollCQ spins until a completion arrives.
 func (v *Verbs) DevPollCQ(w *gpusim.Warp, cq *VCQ) ibsim.CQE {
 	id := v.vspan(w.GPU().Name(), "poll.cq", 0)
-	for {
-		if cqe, ok := v.DevTryPollCQ(w, cq); ok {
-			v.Node.E.SpanClose(id)
-			return cqe
-		}
-		w.Exec(2)
-	}
+	cqe, _ := v.devPollCQ(w, cq, false, 0)
+	v.Node.E.SpanClose(id)
+	return cqe
 }
 
 // DevPollCQTimeout spins like DevPollCQ but gives up after `timeout` of
@@ -249,18 +279,9 @@ func (v *Verbs) DevPollCQ(w *gpusim.Warp, cq *VCQ) ibsim.CQE {
 // verdict as an error CQE, not as a timeout.
 func (v *Verbs) DevPollCQTimeout(w *gpusim.Warp, cq *VCQ, timeout sim.Duration) (ibsim.CQE, bool) {
 	id := v.vspan(w.GPU().Name(), "poll.cq", 0)
-	deadline := w.Now().Add(timeout)
-	for {
-		if cqe, ok := v.DevTryPollCQ(w, cq); ok {
-			v.Node.E.SpanClose(id)
-			return cqe, true
-		}
-		w.Exec(2)
-		if w.Now() >= deadline {
-			v.Node.E.SpanClose(id)
-			return ibsim.CQE{}, false
-		}
-	}
+	cqe, ok := v.devPollCQ(w, cq, true, w.Now().Add(timeout))
+	v.Node.E.SpanClose(id)
+	return cqe, ok
 }
 
 // DevPostRecv posts a receive WQE from the GPU.

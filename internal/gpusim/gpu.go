@@ -95,7 +95,8 @@ type GPU struct {
 	// warps live, launches queued or paying their overhead, and copy
 	// jobs not finished: a window needs one, none and none.
 	warps, launching, copying int
-	ra                        runAhead // see runahead.go
+	ra                        runAhead  // see runahead.go
+	spins                     []*spinOp // free spin ops (see spin.go)
 
 	defaultStream *Stream
 	streamSeq     int // per-GPU: cells in other engines must not share state

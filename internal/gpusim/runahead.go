@@ -58,6 +58,11 @@ type runAhead struct {
 	stores []bufStore
 	landed int
 
+	// then, when set, runs at the window's last wake instead of the
+	// warp's resume: a spin that the window's end leaves mid-loop goes
+	// on from there as a callback (see spin.go).
+	then func()
+
 	off bool // test-only: never open a window
 }
 
@@ -106,39 +111,61 @@ func (w *Warp) now() sim.Time {
 	return w.g.e.Now()
 }
 
-// sleep is a local op's sleep until t. Inside a window it records t as
-// the next wake and runs on, unless t reaches the horizon or the wake
-// cap: then t is the window's last wake and the warp parks until the
-// replay resumes it there. Outside a window it wakes in place when it
+// sleep is a local op's sleep until t: the warp runs on when advance
+// lets it, else it parks until the replay or a wake event resumes it.
+//
+//putget:hot
+func (w *Warp) sleep(t sim.Time) {
+	switch w.advance(t) {
+	case windowEnds:
+		w.p.Await()
+	case mustWait:
+		w.g.e.At(t, w.p.WakeFunc())
+		w.p.Await()
+	}
+}
+
+// wakeHow is advance's verdict on a local op's sleep.
+type wakeHow uint8
+
+const (
+	runsOn     wakeHow = iota // the warp's clock is t and it runs on
+	windowEnds                // t is the window's last wake: the replay ends there
+	mustWait                  // t is a wake event the caller schedules
+)
+
+// advance is the switch-free part of a local op's sleep until t, made
+// from the warp's own context. Inside a window it records t as the next
+// wake and runs on, unless t reaches the horizon or the wake cap: then t
+// is the window's last wake. Outside a window it wakes in place when it
 // can; when it would switch and the GPU allows, it opens a window
 // instead.
 //
 //putget:hot
-func (w *Warp) sleep(t sim.Time) {
+func (w *Warp) advance(t sim.Time) wakeHow {
 	ra := &w.g.ra
 	if ra.open {
 		ra.ahead = len(ra.wakes) - 1
 		ra.wakes = append(ra.wakes, t)
 		if t >= ra.h || len(ra.wakes) == maxWindowWakes {
 			ra.open = false
-			w.p.Await()
+			return windowEnds
 		}
-		return
+		return runsOn
 	}
 	e := w.g.e
 	if e.WakeInPlace(t) {
-		return
+		return runsOn
 	}
 	if w.g.canRunAhead() {
 		if h := w.g.horizon(); t < h {
 			ra.w, ra.h, ra.open = w, h, true
 			ra.wakes = append(ra.wakes, t)
 			ra.At(t, (*runAhead).replay)
-			return
+			return runsOn
 		}
 	}
-	e.At(t, w.p.WakeFunc())
-	w.p.Await()
+	return mustWait
 }
 
 // sync ends the warp's window, if one is open: the warp parks until the
@@ -154,7 +181,7 @@ func (w *Warp) sync() {
 // replay runs the window's wakes from next on, at the engine's clock: it
 // lands the stores made after each, then wakes the next in place or
 // schedules itself there, exactly as the warp's sleep would have. At the
-// last wake it resumes the warp.
+// last wake it resumes the warp, or runs then.
 //
 //putget:hot
 func (ra *runAhead) replay() {
@@ -167,8 +194,11 @@ func (ra *runAhead) replay() {
 		}
 		ra.next++
 		if ra.next == len(ra.wakes) {
-			wake := ra.w.p.WakeFunc()
-			ra.w, ra.wakes, ra.stores = nil, ra.wakes[:0], ra.stores[:0]
+			wake := ra.then
+			if wake == nil {
+				wake = ra.w.p.WakeFunc()
+			}
+			ra.w, ra.wakes, ra.stores, ra.then = nil, ra.wakes[:0], ra.stores[:0], nil
 			ra.next, ra.ahead, ra.landed = 0, -1, 0
 			wake()
 			return

@@ -41,15 +41,27 @@ func (w *Warp) Proc() *sim.Proc {
 // the warp runs ahead.
 func (w *Warp) Now() sim.Time { return w.now() }
 
-// issue books n instructions of issue time on this warp's SM and counts
-// them. Co-resident warps serialize on the SM's issue port, which is the
-// first-order effect of warp scheduling for our small grids. A local op
-// sleeps through the issue with the window-aware sleep; every other op
+// issue books n instructions on this warp's SM and sleeps through
+// them. A local op sleeps with the window-aware sleep; every other op
 // has synced, and sleeps on the engine.
 func (w *Warp) issue(n int, local bool) {
 	if n <= 0 {
 		return
 	}
+	if t := w.book(n); local {
+		w.sleep(t)
+	} else {
+		w.p.SleepUntil(t)
+	}
+}
+
+// book books n instructions of issue time on this warp's SM at the
+// warp's clock, counts them, and returns the instant the issue
+// completes. Co-resident warps serialize on the SM's issue port, which
+// is the first-order effect of warp scheduling for our small grids.
+//
+//putget:hot
+func (w *Warp) book(n int) sim.Time {
 	w.g.ctr.InstrExecuted += uint64(n)
 	share := w.g.cfg.IssueShare
 	if share <= 0 {
@@ -65,11 +77,7 @@ func (w *Warp) issue(n int, local bool) {
 	if occDone > target {
 		target = occDone
 	}
-	if local {
-		w.sleep(target)
-	} else {
-		w.p.SleepUntil(target)
-	}
+	return target
 }
 
 // Exec executes n dependent ALU/control instructions.
@@ -121,9 +129,25 @@ func (w *Warp) ldGlobal(addr memspace.Addr, buf []byte) {
 // sectors and returns the load's latency; the caller reads the data
 // (the probe-time snapshot) and then sleeps that long.
 func (w *Warp) ldProbe(addr memspace.Addr, n int, local bool) sim.Duration {
+	w.countLd(n)
+	w.issue(1, local)
+	return w.l2Read(addr, n)
+}
+
+// countLd counts a coalesced device-memory load of n bytes, before its
+// issue.
+//
+//putget:hot
+func (w *Warp) countLd(n int) {
 	w.g.ctr.MemAccesses++
 	w.g.ctr.L2ReadRequests += sectors(n)
-	w.issue(1, local)
+}
+
+// l2Read probes the L2 sectors of an n-byte load at addr once its issue
+// has completed, and returns the load's latency.
+//
+//putget:hot
+func (w *Warp) l2Read(addr memspace.Addr, n int) sim.Duration {
 	hit := true
 	base := uint64(addr) &^ 31
 	end := uint64(addr) + uint64(n)
@@ -292,16 +316,23 @@ func (w *Warp) LdSysBytes(addr memspace.Addr, buf []byte) {
 func (w *Warp) ldSys(addr memspace.Addr, buf []byte, op string) {
 	w.sync()
 	w.mustNotDevice(addr, op)
-	n := sectors(len(buf))
-	w.g.ctr.MemAccesses++
-	w.g.ctr.SysmemReads32B += n
-	w.g.ctr.L2ReadRequests += n
-	w.g.ctr.L2ReadMisses += n
+	w.countLdSys(len(buf))
 	w.issue(1, false)
 	w.acquirePCIe()
 	w.p.Sleep(w.g.cfg.PCIeOpOverhead)
 	w.g.f.Read(w.p, w.g.ep, addr, buf)
 	w.releasePCIe()
+}
+
+// countLdSys counts a system-memory load of n bytes, before its issue.
+//
+//putget:hot
+func (w *Warp) countLdSys(n int) {
+	s := sectors(n)
+	w.g.ctr.MemAccesses++
+	w.g.ctr.SysmemReads32B += s
+	w.g.ctr.L2ReadRequests += s
+	w.g.ctr.L2ReadMisses += s
 }
 
 // StSysU64 posts a 64-bit store to system memory or MMIO. The warp pays
